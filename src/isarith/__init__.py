@@ -42,6 +42,7 @@ from .univariate import (
 )
 from .bivariate import (
     ProductWorkspace,
+    RemainderCapExceeded,
     add_models,
     div_models,
     mul_models,
@@ -101,6 +102,7 @@ __all__ = [
     "pow_model",
     "recip_model",
     "ProductWorkspace",
+    "RemainderCapExceeded",
     "product_workspace",
     "add_models",
     "mul_models",

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .interval import Interval, _mul_up, _sub_up
 from .model import (
     DomainMismatch,
+    RangeBounds,
     SuperpositionModel,
     _affine,
     _pick_remainder_row,
@@ -27,6 +28,7 @@ from .model import (
 from .univariate import Atom, compose, recip_model
 
 __all__ = [
+    "RemainderCapExceeded",
     "ProductWorkspace",
     "product_workspace",
     "add_models",
@@ -39,6 +41,11 @@ __all__ = [
 #: Relative slack for the quarter-width remainder cap, which holds exactly in
 #: real arithmetic and up to rounding here.
 _CAP_SLACK = 1e-12
+
+
+class RemainderCapExceeded(AssertionError):
+    """A product remainder broke the quarter-width cap, which holds in exact
+    arithmetic; seeing it means a bug, never a bad input."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,10 +70,9 @@ def _same_domain(ma: SuperpositionModel, mb: SuperpositionModel) -> None:
         raise DomainMismatch("models live on different domains; re-grid before combining")
 
 
-def _midpoints_and_radii(m: SuperpositionModel) -> tuple[list[float], list[float]]:
+def _midpoints_and_radii(rb: RangeBounds) -> tuple[list[float], list[float]]:
     centers: list[float] = []
     radii: list[float] = []
-    rb = m.range_bounds()
     for lo, hi in zip(rb.row_lo, rb.row_hi):
         if lo == hi:
             centers.append(lo)
@@ -81,8 +87,9 @@ def _midpoints_and_radii(m: SuperpositionModel) -> tuple[list[float], list[float
 def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> ProductWorkspace:
     _same_domain(ma, mb)
     n = ma.dim
-    ca, ra = _midpoints_and_radii(ma)
-    cb, rbb = _midpoints_and_radii(mb)
+    rba, rbx = ma.range_bounds(), mb.range_bounds()
+    ca, ra = _midpoints_and_radii(rba)
+    cb, rbb = _midpoints_and_radii(rbx)
 
     alpha = Interval(0.0, 0.0)
     beta = Interval(0.0, 0.0)
@@ -106,10 +113,9 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
             cross = cross + Interval.point(ra[i]) * rbb[i]
         remainder = max(0.0, (sum_a * sum_b - cross).hi)
 
-    rba, rbx = ma.range_bounds(), mb.range_bounds()
     cap = _mul_up(0.25, _mul_up(_sub_up(rba.hi, rba.lo), _sub_up(rbx.hi, rbx.lo)))
     if remainder > cap * (1.0 + _CAP_SLACK) + 1e-300:
-        raise AssertionError(
+        raise RemainderCapExceeded(
             f"product remainder {remainder} exceeds the quarter-width cap {cap}"
         )
     return ProductWorkspace(

@@ -29,6 +29,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import __version__
+from .bivariate import RemainderCapExceeded
 from .expr import ParseError, eval_interval, eval_ism, parse, parse_vector, self_compose
 from .interval import DomainViolation, Interval
 from .model import Domain
@@ -399,7 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.which == "sweep":
             return cmd_sweep(cfg, args.points)
         return cmd_recursion(cfg)
-    except SoundnessViolation as err:
+    except (SoundnessViolation, RemainderCapExceeded) as err:
         print(f"soundness violation: {err}", file=sys.stderr)
         return _EXIT_UNSOUND
     except (ParseError, DomainViolation, OverflowError, ValueError) as err:

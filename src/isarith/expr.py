@@ -19,20 +19,27 @@ at most one constant operand and unary atoms never see constant children.
 
 Nodes are interned by structure: syntactically repeated subexpressions are
 represented once and evaluated once.
+
+Every op is one row of the table `_OPS`, holding its float, numpy, interval
+and model rule and its text form, and one walker, `_walk`, runs the DAG in
+topological order for every consumer: the four evaluators, the renderer,
+pruning and `self_compose`.  A new op is one table row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .interval import PI_HALF, DomainViolation, Interval
 from .model import Domain, SuperpositionModel, init_constant, init_variable, _affine
-from .univariate import Atom, compose, cot_model, pow_model, recip_model, sqrt_model
+from .univariate import Atom, _by_squaring, compose, cot_model, pow_model, recip_model, sqrt_model
 from .bivariate import add_models, div_models, mul_models, scalar_affine, sub_models
 
 __all__ = [
@@ -72,19 +79,137 @@ class ShapeMismatch(ValueError):
     """Composition of expressions whose input/output shapes disagree."""
 
 
-_FUNCS = ("exp", "log", "sin", "cos", "tan", "cot", "sqrt", "inv", "sqr")
-_ATOM_BY_NAME = {a.value: a for a in Atom}
+# node tuples are (kind, param, *children):
+#   ('var', i)  ('const', v)  ('un', name, child)  ('pow', k, child)
+#   ('bin', op, left, right)
 
-# node tuples:  ('var', i)  ('const', v)  ('un', name, child)
-#               ('pow', k, child)        ('bin', op, left, right)
+
+def _nonzero(v, what: str):
+    """v itself, once no element of it is zero (a float or an array)."""
+    if np.any(v == 0.0):
+        raise DomainViolation(what)
+    return v
+
+
+def _positive(v, what: str):
+    """v itself, once every element of it is positive (a float or an array)."""
+    if not np.all(v > 0.0):
+        raise DomainViolation(what)
+    return v
+
+
+def _fold(both: Callable, const_left: Callable, const_right: Callable) -> Callable:
+    """Binary model rule; an operand that is a float constant folds exactly
+    through the given rule instead of the product or addition rule."""
+
+    def rule(a, b):
+        if isinstance(a, float):
+            return const_left(a, b)
+        if isinstance(b, float):
+            return const_right(a, b)
+        return both(a, b)
+
+    return rule
+
+
+_PREC_ATOM, _PREC_POW, _PREC_NEG, _PREC_TERM, _PREC_EXPR = 5, 4, 3, 2, 1
+
+
+def _text(fmt: str, prec: int, *wants: int) -> Callable:
+    """Text rule: fmt filled with the operand texts, each bracketed when it
+    binds more loosely than wanted there; a power's exponent comes last.
+    Texts travel as (text, precedence) pairs."""
+
+    def rule(*args):
+        parts = [f"({t})" if want > p else t for (t, p), want in zip(args, wants)]
+        return fmt.format(*parts, *args[len(wants):]), prec
+
+    return rule
+
+
+class _Op(NamedTuple):
+    """One op's rules: values in working precision (fl) and over numpy arrays
+    (np), the natural interval extension (iv), the superposition model, and
+    the text form.  Binary model rules also take float constants."""
+
+    fl: Callable
+    np: Callable
+    iv: Callable
+    model: Callable
+    text: Callable
+
+
+def _func(name: str, fl: Callable, np_: Callable, iv: Callable, model: Callable) -> _Op:
+    return _Op(fl, np_, iv, model, _text(name + "({})", _PREC_ATOM, _PREC_EXPR))
+
+
+# Model rules reach compose, mul_models and the rest through lambdas, so they
+# are looked up as module attributes at call time and a patched attribute
+# (bench/spans.py traces them that way) sees every call.
+_OPS: dict[str, _Op] = {
+    "neg": _Op(operator.neg, np.negative, operator.neg, lambda m: compose(Atom.NEG, m),
+               _text("-{}", _PREC_NEG, _PREC_NEG)),
+    "sqr": _func("sqr", lambda v: v * v, np.square, Interval.sqr, lambda m: compose(Atom.SQR, m)),
+    "inv": _func("inv", lambda v: 1.0 / _nonzero(v, "reciprocal of zero"),
+                 lambda v: 1.0 / _nonzero(v, "reciprocal of zero"),
+                 Interval.inv, lambda m: compose(Atom.INV, m)),
+    "exp": _func("exp", math.exp, np.exp, Interval.exp, lambda m: compose(Atom.EXP, m)),
+    "log": _func("log", lambda v: math.log(_positive(v, "log of a non-positive value")),
+                 lambda v: np.log(_positive(v, "log of a non-positive value")),
+                 Interval.log, lambda m: compose(Atom.LOG, m)),
+    "sin": _func("sin", math.sin, np.sin, Interval.sin, lambda m: compose(Atom.SIN, m)),
+    "cos": _func("cos", math.cos, np.cos, Interval.cos, lambda m: compose(Atom.COS, m)),
+    "tan": _func("tan", math.tan, np.tan, Interval.tan, lambda m: compose(Atom.TAN, m)),
+    "cot": _func("cot", lambda v: 1.0 / _nonzero(math.tan(v), "cot at a pole"),
+                 lambda v: 1.0 / _nonzero(np.tan(v), "cot at a pole"),
+                 lambda x: (PI_HALF + (-x)).tan(), lambda m: cot_model(m)),
+    # sqrt as exp(0.5 * log x) on intervals, mirroring the model-level construction
+    "sqrt": _func("sqrt", lambda v: math.sqrt(_positive(v, "sqrt of a non-positive value")),
+                  lambda v: np.sqrt(_positive(v, "sqrt of a non-positive value")),
+                  lambda x: (x.log() * 0.5).exp(), lambda m: sqrt_model(m)),
+    "pow": _Op(operator.pow, operator.pow,
+               lambda x, k: _by_squaring(x, k, Interval.sqr, operator.mul),
+               lambda m, k: pow_model(m, k), _text("{}^{}", _PREC_POW, _PREC_ATOM)),
+    "add": _Op(operator.add, operator.add, operator.add,
+               _fold(lambda a, b: add_models(a, b), lambda c, m: scalar_affine(m, 1.0, c),
+                     lambda m, c: scalar_affine(m, 1.0, c)),
+               _text("{}+{}", _PREC_EXPR, _PREC_EXPR, _PREC_TERM)),
+    "sub": _Op(operator.sub, operator.sub, operator.sub,
+               _fold(lambda a, b: sub_models(a, b), lambda c, m: scalar_affine(m, -1.0, c),
+                     lambda m, c: scalar_affine(m, 1.0, -c)),
+               _text("{}-{}", _PREC_EXPR, _PREC_EXPR, _PREC_TERM)),
+    "mul": _Op(operator.mul, operator.mul, operator.mul,
+               _fold(lambda a, b: mul_models(a, b), lambda c, m: scalar_affine(m, c),
+                     lambda m, c: scalar_affine(m, c)),
+               _text("{}*{}", _PREC_TERM, _PREC_TERM, _PREC_NEG)),
+    "div": _Op(lambda a, b: a / _nonzero(b, "division by zero"),
+               lambda a, b: a / _nonzero(b, "division by zero"),
+               lambda a, b: a * b.inv(),
+               _fold(lambda a, b: div_models(a, b), lambda c, m: scalar_affine(recip_model(m), c),
+                     lambda m, c: _affine(m, Interval.point(
+                         _nonzero(c, "division by the constant zero")).inv())),
+               _text("{}/{}", _PREC_TERM, _PREC_TERM, _PREC_NEG)),
+}
+
+# the ops the grammar spells as operators; every other row is a FUNC
+_FUNCS = _OPS.keys() - {"neg", "pow", "add", "sub", "mul", "div"}
+
+
+def _apply(column: str, kind: str, param, *args):
+    """Apply one column of a node's row to its operand values; a power node
+    passes its exponent last."""
+    if kind == "pow":
+        return getattr(_OPS["pow"], column)(*args, param)
+    return getattr(_OPS[param], column)(*args)
 
 
 class _Builder:
-    """Interning node store with eager constant folding."""
+    """Interning node store with eager constant folding, optionally seeded
+    with the nodes of an existing DAG."""
 
-    def __init__(self) -> None:
-        self.nodes: list[tuple] = []
-        self._index: dict[tuple, int] = {}
+    def __init__(self, nodes: Sequence[tuple] = ()) -> None:
+        self.nodes: list[tuple] = list(nodes)
+        self._index: dict[tuple, int] = {node: i for i, node in enumerate(self.nodes)}
 
     def _add(self, node: tuple) -> int:
         got = self._index.get(node)
@@ -103,70 +228,15 @@ class _Builder:
             raise OverflowError(f"constant folded to a non-finite value: {v}")
         return self._add(("const", v))
 
-    def unary(self, name: str, child: int) -> int:
-        node = self.nodes[child]
-        if node[0] == "const":
-            return self.const(_unary_float(name, node[1]))
-        return self._add(("un", name, child))
-
-    def power(self, child: int, k: int) -> int:
-        if k == 1:
-            return child
-        node = self.nodes[child]
-        if node[0] == "const":
-            return self.const(node[1] ** k)
-        return self._add(("pow", k, child))
-
-    def binary(self, op: str, left: int, right: int) -> int:
-        ln, rn = self.nodes[left], self.nodes[right]
-        if ln[0] == "const" and rn[0] == "const":
-            return self.const(_binary_float(op, ln[1], rn[1]))
-        return self._add(("bin", op, left, right))
-
-
-def _unary_float(name: str, v: float) -> float:
-    if name == "neg":
-        return -v
-    if name == "sqr":
-        return v * v
-    if name == "inv":
-        if v == 0.0:
-            raise DomainViolation("reciprocal of zero")
-        return 1.0 / v
-    if name == "exp":
-        return math.exp(v)
-    if name == "log":
-        if v <= 0.0:
-            raise DomainViolation(f"log of non-positive value {v}")
-        return math.log(v)
-    if name == "sin":
-        return math.sin(v)
-    if name == "cos":
-        return math.cos(v)
-    if name == "tan":
-        return math.tan(v)
-    if name == "cot":
-        t = math.tan(v)
-        if t == 0.0:
-            raise DomainViolation(f"cot of {v} is a pole")
-        return 1.0 / t
-    if name == "sqrt":
-        if v <= 0.0:
-            raise DomainViolation(f"sqrt needs a positive argument, got {v}")
-        return math.sqrt(v)
-    raise ValueError(f"unknown unary {name!r}")
-
-
-def _binary_float(op: str, a: float, b: float) -> float:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if b == 0.0:
-        raise DomainViolation("division by zero")
-    return a / b
+    def op(self, kind: str, param, *kids: int) -> int:
+        """Node applying op param ('un', 'bin') or power param ('pow') to the
+        children, folded to a constant when every child is one."""
+        if kind == "pow" and param == 1:
+            return kids[0]
+        for c in kids:
+            if self.nodes[c][0] != "const":
+                return self._add((kind, param) + kids)
+        return self.const(_apply("fl", kind, param, *[self.nodes[c][1] for c in kids]))
 
 
 @dataclass(frozen=True)
@@ -182,36 +252,69 @@ class Expr:
         return len(self.outputs)
 
 
-def _prune(builder: _Builder, outputs: list[int], arity: int) -> Expr:
-    """Drop nodes unreachable from the outputs and renumber."""
-    reachable: set[int] = set()
-    stack = list(outputs)
-    while stack:
-        nid = stack.pop()
-        if nid in reachable:
+def _last_uses(e: Expr) -> list[int]:
+    """Per node, the id of its last consumer: len(e.nodes) for an output and
+    -1 for a node that no output needs."""
+    nodes = e.nodes
+    last = [-1] * len(nodes)
+    for out in e.outputs:
+        last[out] = len(nodes)
+    for nid in range(len(nodes) - 1, -1, -1):
+        if last[nid] >= 0:
+            for child in nodes[nid][2:]:
+                if last[child] < 0:
+                    last[child] = nid
+    return last
+
+
+def _walk(
+    e: Expr, var: Callable, const: Callable, op: Callable, finite: Callable | None = None
+) -> tuple:
+    """Evaluate the DAG bottom-up and return the values of its outputs.
+
+    Visits, in topological order, only the nodes some output needs: var(i)
+    and const(v) give the leaf values, op(kind, param, *operand_values) all
+    others.  When finite is given, a value for which finite(value) fails
+    raises OverflowError.  A value is dropped once its last consumer has run,
+    and a domain error names its node.
+    """
+    last = _last_uses(e)
+    vals: list = [None] * len(e.nodes)
+    for nid, node in enumerate(e.nodes):
+        if last[nid] < 0:
             continue
-        reachable.add(nid)
-        node = builder.nodes[nid]
-        if node[0] == "un":
-            stack.append(node[2])
-        elif node[0] == "pow":
-            stack.append(node[2])
-        elif node[0] == "bin":
-            stack.extend(node[2:4])
-    keep = sorted(reachable)
-    renum = {old: new for new, old in enumerate(keep)}
-    nodes = []
-    for old in keep:
-        node = builder.nodes[old]
-        if node[0] == "un":
-            nodes.append(("un", node[1], renum[node[2]]))
-        elif node[0] == "pow":
-            nodes.append(("pow", node[1], renum[node[2]]))
-        elif node[0] == "bin":
-            nodes.append(("bin", node[1], renum[node[2]], renum[node[3]]))
-        else:
-            nodes.append(node)
-    return Expr(tuple(nodes), tuple(renum[o] for o in outputs), arity)
+        kind = node[0]
+        try:
+            if kind == "var":
+                v = var(node[1])
+            elif kind == "const":
+                v = const(node[1])
+            elif kind == "bin":
+                v = op(kind, node[1], vals[node[2]], vals[node[3]])
+            else:
+                v = op(kind, node[1], vals[node[2]])
+        except DomainViolation as err:
+            raise DomainViolation(f"node {nid} ({kind}): {err}") from err
+        if finite is not None and not finite(v):
+            raise OverflowError("intermediate value overflowed")
+        vals[nid] = v
+        for child in node[2:]:
+            if last[child] == nid:
+                vals[child] = None
+    return tuple(vals[o] for o in e.outputs)
+
+
+def _prune(nodes: Sequence[tuple], outputs: Sequence[int], arity: int) -> Expr:
+    """Drop nodes unreachable from the outputs and renumber."""
+    kept: list[tuple] = []
+
+    def keep(kind: str, param, *kids: int) -> int:
+        kept.append((kind, param, *kids))
+        return len(kept) - 1
+
+    outs = _walk(Expr(tuple(nodes), tuple(outputs), arity),
+                 partial(keep, "var"), partial(keep, "const"), keep)
+    return Expr(tuple(kept), outs, arity)
 
 
 _TOKEN = re.compile(
@@ -273,7 +376,7 @@ class _Parser:
         while (tok := self._peek()) and tok[0] == "op" and tok[1] in "+-":
             self.pos += 1
             rhs = self.term()
-            nid = self.builder.binary("add" if tok[1] == "+" else "sub", nid, rhs)
+            nid = self.builder.op("bin", "add" if tok[1] == "+" else "sub", nid, rhs)
         return nid
 
     def term(self) -> int:
@@ -281,14 +384,14 @@ class _Parser:
         while (tok := self._peek()) and tok[0] == "op" and tok[1] in "*/":
             self.pos += 1
             rhs = self.factor()
-            nid = self.builder.binary("mul" if tok[1] == "*" else "div", nid, rhs)
+            nid = self.builder.op("bin", "mul" if tok[1] == "*" else "div", nid, rhs)
         return nid
 
     def factor(self) -> int:
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.pos += 1
-            return self.builder.unary("neg", self.factor())
+            return self.builder.op("un", "neg", self.factor())
         return self.power()
 
     def power(self) -> int:
@@ -301,7 +404,7 @@ class _Parser:
                 where = etok[2] if etok else len(self.text)
                 raise ParseError("exponent must be a positive integer literal", where)
             self.pos += 1
-            nid = self.builder.power(nid, int(etok[1]))
+            nid = self.builder.op("pow", int(etok[1]), nid)
         return nid
 
     def atom(self) -> int:
@@ -321,7 +424,7 @@ class _Parser:
                 self._expect_op("(")
                 inner = self.expr()
                 self._expect_op(")")
-                return self.builder.unary(value, inner)
+                return self.builder.op("un", value, inner)
             if value[0] == "x" and value[1:].isdigit():
                 idx = int(value[1:])
                 if not 1 <= idx <= self.arity:
@@ -344,87 +447,27 @@ def parse_vector(texts: Sequence[str], arity: int) -> Expr:
         raise ArityError(f"arity must be non-negative, got {arity}")
     builder = _Builder()
     outputs = [_Parser(t, arity, builder).parse() for t in texts]
-    return _prune(builder, outputs, arity)
-
-
-_PREC_ATOM, _PREC_POW, _PREC_NEG, _PREC_TERM, _PREC_EXPR = 5, 4, 3, 2, 1
-
-
-def _render(e: Expr, nid: int, want: int) -> str:
-    node = e.nodes[nid]
-    if node[0] == "var":
-        return f"x{node[1] + 1}"
-    if node[0] == "const":
-        body = repr(node[1])
-        # a bare negative literal reads as unary minus; guard tight contexts
-        return f"({body})" if (node[1] < 0 and want > _PREC_NEG) else body
-    if node[0] == "un":
-        if node[1] == "neg":
-            body = f"-{_render(e, node[2], _PREC_NEG)}"
-            return f"({body})" if want > _PREC_NEG else body
-        return f"{node[1]}({_render(e, node[2], _PREC_EXPR)})"
-    if node[0] == "pow":
-        body = f"{_render(e, node[2], _PREC_ATOM)}^{node[1]}"
-        return f"({body})" if want > _PREC_POW else body
-    op = node[1]
-    if op in ("add", "sub"):
-        sym = "+" if op == "add" else "-"
-        body = f"{_render(e, node[2], _PREC_EXPR)}{sym}{_render(e, node[3], _PREC_TERM)}"
-        return f"({body})" if want > _PREC_EXPR else body
-    sym = "*" if op == "mul" else "/"
-    body = f"{_render(e, node[2], _PREC_TERM)}{sym}{_render(e, node[3], _PREC_NEG)}"
-    return f"({body})" if want > _PREC_TERM else body
+    return _prune(builder.nodes, outputs, arity)
 
 
 def to_text(e: Expr, output: int = 0) -> str:
     """Render one output back to grammar text; parsing the result rebuilds an
     identical DAG."""
-    return _render(e, e.outputs[output], _PREC_EXPR)
-
-
-def _last_uses(e: Expr) -> list[int]:
-    last = [0] * len(e.nodes)
-    for nid, node in enumerate(e.nodes):
-        if node[0] in ("un", "pow"):
-            last[node[2]] = nid
-        elif node[0] == "bin":
-            last[node[2]] = nid
-            last[node[3]] = nid
-    for out in e.outputs:
-        last[out] = len(e.nodes)
-    return last
+    one = replace(e, outputs=(e.outputs[output],))
+    return _walk(
+        one,
+        lambda i: (f"x{i + 1}", _PREC_ATOM),
+        # a bare negative literal reads as unary minus; guard tight contexts
+        lambda v: (repr(v), _PREC_NEG if v < 0 else _PREC_ATOM),
+        partial(_apply, "text"),
+    )[0][0]
 
 
 def eval_point(e: Expr, x: Sequence[float]) -> tuple[float, ...]:
     """Evaluate all outputs at a point in working precision."""
     if len(x) != e.arity:
         raise ArityError(f"point has {len(x)} coordinates, expression takes {e.arity}")
-    vals: list[float] = []
-    for node in e.nodes:
-        if node[0] == "var":
-            v = float(x[node[1]])
-        elif node[0] == "const":
-            v = node[1]
-        elif node[0] == "un":
-            v = _unary_float(node[1], vals[node[2]])
-        elif node[0] == "pow":
-            v = vals[node[2]] ** node[1]
-        else:
-            v = _binary_float(node[1], vals[node[2]], vals[node[3]])
-        if not math.isfinite(v):
-            raise OverflowError("intermediate value overflowed")
-        vals.append(v)
-    return tuple(vals[o] for o in e.outputs)
-
-
-_NP_UNARY: dict[str, Callable] = {
-    "neg": np.negative,
-    "sqr": np.square,
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-}
+    return _walk(e, lambda i: float(x[i]), float, partial(_apply, "fl"), math.isfinite)
 
 
 def eval_points(e: Expr, xs: np.ndarray) -> np.ndarray:
@@ -436,119 +479,17 @@ def eval_points(e: Expr, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != e.arity:
         raise ArityError(f"expected an (m, {e.arity}) array, got {xs.shape}")
-    last = _last_uses(e)
-    vals: dict[int, np.ndarray] = {}
     m = xs.shape[0]
-    for nid, node in enumerate(e.nodes):
-        if node[0] == "var":
-            v = xs[:, node[1]]
-        elif node[0] == "const":
-            v = np.full(m, node[1])
-        elif node[0] == "un":
-            arg = vals[node[2]]
-            name = node[1]
-            if name == "log":
-                if not np.all(arg > 0.0):
-                    raise DomainViolation("log of a non-positive value")
-                v = np.log(arg)
-            elif name == "sqrt":
-                if not np.all(arg > 0.0):
-                    raise DomainViolation("sqrt of a non-positive value")
-                v = np.sqrt(arg)
-            elif name == "inv":
-                if np.any(arg == 0.0):
-                    raise DomainViolation("reciprocal of zero")
-                v = 1.0 / arg
-            elif name == "cot":
-                t = np.tan(arg)
-                if np.any(t == 0.0):
-                    raise DomainViolation("cot at a pole")
-                v = 1.0 / t
-            else:
-                v = _NP_UNARY[name](arg)
-        elif node[0] == "pow":
-            v = vals[node[2]] ** node[1]
-        else:
-            a, b = vals[node[2]], vals[node[3]]
-            if node[1] == "add":
-                v = a + b
-            elif node[1] == "sub":
-                v = a - b
-            elif node[1] == "mul":
-                v = a * b
-            else:
-                if np.any(b == 0.0):
-                    raise DomainViolation("division by zero")
-                v = a / b
-        if not np.all(np.isfinite(v)):
-            raise OverflowError("intermediate value overflowed")
-        vals[nid] = v
-        for child in set(node[2:4] if node[0] == "bin" else node[2:3] if node[0] in ("un", "pow") else ()):
-            if last[child] == nid and child not in e.outputs:
-                del vals[child]
-    return np.column_stack([vals[o] for o in e.outputs])
+    outs = _walk(e, lambda i: xs[:, i], lambda v: np.full(m, v), partial(_apply, "np"),
+                 lambda v: np.isfinite(v).all())
+    return np.column_stack(outs)
 
 
 def eval_interval(e: Expr, box: Sequence[Interval]) -> tuple[Interval, ...]:
     """Natural interval extension over the box, memoized over the DAG."""
     if len(box) != e.arity:
         raise ArityError(f"box has {len(box)} axes, expression takes {e.arity}")
-    vals: list[Interval] = []
-    for nid, node in enumerate(e.nodes):
-        try:
-            if node[0] == "var":
-                v = box[node[1]]
-            elif node[0] == "const":
-                v = Interval.point(node[1])
-            elif node[0] == "un":
-                v = _interval_unary(node[1], vals[node[2]])
-            elif node[0] == "pow":
-                v = _interval_pow(vals[node[2]], node[1])
-            else:
-                a, b = vals[node[2]], vals[node[3]]
-                if node[1] == "add":
-                    v = a + b
-                elif node[1] == "sub":
-                    v = a - b
-                elif node[1] == "mul":
-                    v = a * b
-                else:
-                    v = a * b.inv()
-        except DomainViolation as err:
-            raise DomainViolation(f"node {nid} ({node[0]}): {err}") from err
-        vals.append(v)
-    return tuple(vals[o] for o in e.outputs)
-
-
-def _interval_unary(name: str, x: Interval) -> Interval:
-    if name == "neg":
-        return -x
-    if name == "sqr":
-        return x.sqr()
-    if name == "inv":
-        return x.inv()
-    if name == "exp":
-        return x.exp()
-    if name == "log":
-        return x.log()
-    if name == "sin":
-        return x.sin()
-    if name == "cos":
-        return x.cos()
-    if name == "tan":
-        return x.tan()
-    if name == "cot":
-        return (PI_HALF + (-x)).tan()
-    # sqrt as exp(0.5 * log x), mirroring the model-level construction
-    return (x.log() * 0.5).exp()
-
-
-def _interval_pow(x: Interval, k: int) -> Interval:
-    if k == 1:
-        return x
-    if k % 2 == 0:
-        return _interval_pow(x, k // 2).sqr()
-    return _interval_pow(x, k - 1) * x
+    return _walk(e, lambda i: box[i], Interval.point, partial(_apply, "iv"))
 
 
 def eval_ism(e: Expr, domain: Domain, memoize: bool = True) -> tuple[SuperpositionModel, ...]:
@@ -562,73 +503,19 @@ def eval_ism(e: Expr, domain: Domain, memoize: bool = True) -> tuple[Superpositi
     """
     if domain.dim != e.arity:
         raise ArityError(f"domain has {domain.dim} axes, expression takes {e.arity}")
-    cache: dict[int, SuperpositionModel] | None = {} if memoize else None
-
-    def const_of(nid: int) -> float | None:
-        node = e.nodes[nid]
-        return node[1] if node[0] == "const" else None
-
-    def build(nid: int) -> SuperpositionModel:
-        if cache is not None and nid in cache:
-            return cache[nid]
-        node = e.nodes[nid]
-        try:
-            if node[0] == "var":
-                out = init_variable(domain, node[1])
-            elif node[0] == "const":
-                out = init_constant(domain, node[1])
-            elif node[0] == "un":
-                out = _model_unary(node[1], build(node[2]))
-            elif node[0] == "pow":
-                out = pow_model(build(node[2]), node[1])
-            else:
-                out = _model_binary(node[1], node[2], node[3])
-        except DomainViolation as err:
-            raise DomainViolation(f"node {nid} ({node[0]}): {err}") from err
-        if cache is not None:
-            cache[nid] = out
-        return out
-
-    def _model_binary(op: str, left: int, right: int) -> SuperpositionModel:
-        cl, cr = const_of(left), const_of(right)
-        if op == "add":
-            if cl is not None:
-                return scalar_affine(build(right), 1.0, cl)
-            if cr is not None:
-                return scalar_affine(build(left), 1.0, cr)
-            return add_models(build(left), build(right))
-        if op == "sub":
-            if cl is not None:
-                return scalar_affine(build(right), -1.0, cl)
-            if cr is not None:
-                return scalar_affine(build(left), 1.0, -cr)
-            return sub_models(build(left), build(right))
-        if op == "mul":
-            if cl is not None:
-                return scalar_affine(build(right), cl)
-            if cr is not None:
-                return scalar_affine(build(left), cr)
-            return mul_models(build(left), build(right))
-        if cr is not None:
-            if cr == 0.0:
-                raise DomainViolation("division by the constant zero")
-            return _affine(build(left), Interval.point(cr).inv())
-        if cl is not None:
-            return scalar_affine(recip_model(build(right)), cl)
-        return div_models(build(left), build(right))
-
-    return tuple(build(o) for o in e.outputs)
-
-
-def _model_unary(name: str, m: SuperpositionModel) -> SuperpositionModel:
-    atom = _ATOM_BY_NAME.get(name)
-    if atom is not None:
-        return compose(atom, m)
-    if name == "sqrt":
-        return sqrt_model(m)
-    if name == "cot":
-        return cot_model(m)
-    raise ValueError(f"unknown unary {name!r}")
+    model = partial(_apply, "model")
+    # constants stay floats, so the binary rules can fold them; only a
+    # constant output becomes a model
+    if memoize:
+        outs = _walk(e, lambda i: init_variable(domain, i), float, model)
+    else:  # every value is a thunk, so a shared node is rebuilt on each use
+        outs = [force() for force in _walk(
+            e,
+            lambda i: lambda: init_variable(domain, i),
+            lambda v: lambda: v,
+            lambda kind, param, *kids: lambda: model(kind, param, *[k() for k in kids]),
+        )]
+    return tuple(init_constant(domain, m) if isinstance(m, float) else m for m in outs)
 
 
 def self_compose(e: Expr, k: int) -> Expr:
@@ -641,31 +528,7 @@ def self_compose(e: Expr, k: int) -> Expr:
         raise ShapeMismatch(f"need outputs == arity, got {e.n_outputs} != {e.arity}")
     current = e
     for _ in range(k - 1):
-        builder = _Builder()
-        inner_map: list[int] = []
-        for node in current.nodes:
-            if node[0] == "var":
-                inner_map.append(builder.var(node[1]))
-            elif node[0] == "const":
-                inner_map.append(builder.const(node[1]))
-            elif node[0] == "un":
-                inner_map.append(builder.unary(node[1], inner_map[node[2]]))
-            elif node[0] == "pow":
-                inner_map.append(builder.power(inner_map[node[2]], node[1]))
-            else:
-                inner_map.append(builder.binary(node[1], inner_map[node[2]], inner_map[node[3]]))
-        feeds = [inner_map[o] for o in current.outputs]
-        outer_map: list[int] = []
-        for node in e.nodes:
-            if node[0] == "var":
-                outer_map.append(feeds[node[1]])
-            elif node[0] == "const":
-                outer_map.append(builder.const(node[1]))
-            elif node[0] == "un":
-                outer_map.append(builder.unary(node[1], outer_map[node[2]]))
-            elif node[0] == "pow":
-                outer_map.append(builder.power(outer_map[node[2]], node[1]))
-            else:
-                outer_map.append(builder.binary(node[1], outer_map[node[2]], outer_map[node[3]]))
-        current = _prune(builder, [outer_map[o] for o in e.outputs], e.arity)
+        builder = _Builder(current.nodes)
+        outs = _walk(e, current.outputs.__getitem__, builder.const, builder.op)
+        current = _prune(builder.nodes, outs, e.arity)
     return current

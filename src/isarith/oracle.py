@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .expr import Expr, eval_points
+from .expr import _OPS, Expr, eval_points
 from .interval import Interval, _add_down, _add_up
 from .model import SuperpositionModel
 from .univariate import Atom, CompositionWorkspace, central_points, remainder_bound
@@ -220,18 +220,6 @@ def brute_force_range(m: SuperpositionModel, *, budget: int = DEFAULT_BUDGET) ->
     return best_lo, best_hi
 
 
-_ATOM_NP = {
-    Atom.NEG: lambda x: -x,
-    Atom.SQR: np.square,
-    Atom.INV: lambda x: 1.0 / x,
-    Atom.EXP: np.exp,
-    Atom.LOG: np.log,
-    Atom.SIN: np.sin,
-    Atom.COS: np.cos,
-    Atom.TAN: np.tan,
-}
-
-
 def remainder_violation_search(
     g: Atom,
     m: SuperpositionModel,
@@ -259,7 +247,7 @@ def remainder_violation_search(
     corners = np.array(list(itertools.product(*zip(lo, hi)))) if n <= 20 else np.empty((0, n))
     deltas = np.vstack([draws, corners, np.zeros((1, n))])
 
-    fn = _ATOM_NP[g]
+    fn = _OPS[g.value].np
     omega = w.omega.mid
     spread_terms = fn(omega + deltas)
     center_term = (n - 1) * fn(omega)

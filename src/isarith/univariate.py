@@ -61,9 +61,6 @@ class Atom(Enum):
     TAN = "tan"
 
 
-_MIDPOINT_ATOMS = {Atom.NEG, Atom.SQR, Atom.LOG, Atom.SIN, Atom.COS, Atom.TAN}
-
-
 @dataclass(frozen=True, slots=True)
 class CompositionWorkspace:
     """Per-composition scalars: one central point per row, their sum as a thin
@@ -73,24 +70,6 @@ class CompositionWorkspace:
     omega: Interval
     spreads: tuple[float, ...]
     remainder: float
-
-
-def _apply(g: Atom, x: Interval) -> Interval:
-    if g is Atom.NEG:
-        return -x
-    if g is Atom.SQR:
-        return x.sqr()
-    if g is Atom.INV:
-        return x.inv()
-    if g is Atom.EXP:
-        return x.exp()
-    if g is Atom.LOG:
-        return x.log()
-    if g is Atom.SIN:
-        return x.sin()
-    if g is Atom.COS:
-        return x.cos()
-    return x.tan()
 
 
 def _check_atom_domain(g: Atom, rb: RangeBounds) -> None:
@@ -286,10 +265,10 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
     w = replace(w, remainder=r)
 
     n = m.dim
-    g_omega = _apply(g, w.omega)
-    centering = g_omega * _enclose_fraction(Fraction(n - 1, n))
+    apply = getattr(Interval, g.value)  # every atom but NEG names its Interval method
+    centering = apply(w.omega) * _enclose_fraction(Fraction(n - 1, n))
     rows = [
-        [_apply(g, (e - a) + w.omega) - centering for e in row]
+        [apply((e - a) + w.omega) - centering for e in row]
         for row, a in zip(m.coeffs, w.centers)
     ]
     support = m.support
@@ -314,17 +293,23 @@ def cot_model(m: SuperpositionModel) -> SuperpositionModel:
     return compose(Atom.TAN, _affine(m, -1.0, PI_HALF))
 
 
+def _by_squaring(x, k: int, sqr, mul):
+    """x^k for a positive integer k: the square of x^(k/2) for even k, else
+    x^(k-1) times x.  The model and the interval power rules share it."""
+    if k == 1:
+        return x
+    if k % 2 == 0:
+        return sqr(_by_squaring(x, k // 2, sqr, mul))
+    return mul(_by_squaring(x, k - 1, sqr, mul), x)
+
+
 def pow_model(m: SuperpositionModel, k: int) -> SuperpositionModel:
     """Integer power by squaring over the square atom and the product rule."""
     if k < 1:
         raise ValueError(f"exponent must be a positive integer, got {k}")
-    if k == 1:
-        return m
-    if k % 2 == 0:
-        return compose(Atom.SQR, pow_model(m, k // 2))
     from .bivariate import mul_models
 
-    return mul_models(pow_model(m, k - 1), m)
+    return _by_squaring(m, k, lambda x: compose(Atom.SQR, x), mul_models)
 
 
 def recip_model(m: SuperpositionModel) -> SuperpositionModel:

@@ -70,6 +70,16 @@ class TestBound:
         assert main(["bound", "--expr", "log(x1)", "--domain", "x1=[-1,1]"]) == 2
         assert main(["bound", "--expr", "x1"]) == 2  # missing domain
 
+    def test_quarter_cap_failure_exits_3(self, monkeypatch, capsys):
+        from isarith import bivariate
+
+        monkeypatch.setattr(bivariate, "_CAP_SLACK", -1.0)  # every product trips the cap
+        rc = main(["bound", "--expr", "(x1+x2)*(x1-x2)", "--domain", "x1=[0,1];x2=[0,1]",
+                   "-N", "4"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "quarter-width cap" in err[0]
+
 
 class TestCompare:
     def cfg(self, expr, domain, branches, grid=40_000, seed=0):

@@ -124,6 +124,18 @@ class TestParse:
             assert parse(to_text(e), arity) == e
 
 
+class TestDeepDag:
+    def test_long_sum_models_and_renders(self):
+        # 3000 terms, 8999 nodes: far deeper than the interpreter's recursion limit
+        text = "sin(x1)+" + "+".join(f"x1*{k}" for k in range(1, 3000))
+        e = parse(text, 1)
+        assert len(e.nodes) == 8999
+        d = Domain.of([(0.0, 1.0)], branches=2)
+        rb = eval_ism(e, d)[0].range_bounds()
+        assert rb.lo <= 0.0 and rb.hi >= math.sin(1.0) + 2999 * 3000 / 2
+        assert parse(to_text(e), 1).nodes == e.nodes
+
+
 class TestEvalPoint:
     def test_basic(self):
         assert eval_point(parse("x1+x2", 2), (1.0, 2.0)) == (3.0,)
