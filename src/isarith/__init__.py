@@ -1,9 +1,10 @@
 """Interval superposition arithmetic.
 
 Encloses the image of factorable functions on box domains by propagating an
-n x N matrix of interval coefficients through the function's computational
-graph: every axis is cut into N branches and the model's value at a point is
-the Minkowski sum of one coefficient per axis.  Row-wise range bounds are
+interval constant plus an n x N matrix of interval coefficients through the
+function's computational graph: every axis is cut into N branches and the
+model's value at a point is the constant plus the Minkowski sum of one
+coefficient per axis.  Row-wise range bounds are
 exact in O(nN), and the composition rules stay useful on domains far too wide
 for local approximation methods.
 """

@@ -1,11 +1,14 @@
 """Addition and multiplication of superposition models over a shared domain.
 
-Addition is entrywise and exact.  Multiplication recenters both factor rows
-around their midpoints, multiplies the recentered branch windows, and absorbs
-the cross-row products of the offsets into a scalar remainder added to one
-row.  The remainder R is a product of total radii minus the aligned-row
-radii products, hence zero whenever the factors are wide in at most one
-common row, and never more than a quarter of the product of the range widths.
+Addition is entrywise and exact, constants included.  Multiplication
+recenters both factor rows around their midpoints, keeps the product
+alpha * beta of the two centered sums (each factor's constant plus its
+midpoints) as the new constant, multiplies the recentered branch windows minus
+alpha * beta in each row where either factor has width, and absorbs the
+cross-row products of the offsets into a scalar remainder added to one row.
+The remainder R is a product of total radii minus the aligned-row radii
+products, hence zero whenever the factors are wide in at most one common row,
+and never more than a quarter of the product of the range widths.
 
 Subtraction and division are derived: a - b = a + neg(b) and a / b is the
 product with the reciprocal of b.  Constant factors never route through the
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 from .interval import Interval, _mul_up, _sub_up
 from .model import (
+    _ZERO,
     DomainMismatch,
     RangeBounds,
     SuperpositionModel,
@@ -51,15 +55,13 @@ class RemainderCapExceeded(AssertionError):
 @dataclass(frozen=True, slots=True)
 class ProductWorkspace:
     """Centering scalars for one product: per-row midpoints of both factors,
-    their sums and the mixed sum as thin intervals, per-row radii, and the
-    remainder bound."""
+    each factor's constant plus its midpoints as an interval, per-row radii,
+    and the remainder bound."""
 
     centers_a: tuple[float, ...]
     centers_b: tuple[float, ...]
     alpha: Interval
     beta: Interval
-    gamma: Interval
-    omega: Interval
     radii_a: tuple[float, ...]
     radii_b: tuple[float, ...]
     remainder: float
@@ -91,14 +93,10 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
     ca, ra = _midpoints_and_radii(rba)
     cb, rbb = _midpoints_and_radii(rbx)
 
-    alpha = Interval(0.0, 0.0)
-    beta = Interval(0.0, 0.0)
-    gamma = Interval(0.0, 0.0)
+    alpha, beta = ma.const, mb.const
     for a, b in zip(ca, cb):
         alpha = alpha + a
         beta = beta + b
-        gamma = gamma + Interval.point(a) * b
-    omega = (alpha * beta - gamma) * Interval.point(float(n)).inv()
 
     active = [i for i in range(n) if ra[i] > 0.0 or rbb[i] > 0.0]
     if len(active) <= 1:
@@ -119,7 +117,7 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
             f"product remainder {remainder} exceeds the quarter-width cap {cap}"
         )
     return ProductWorkspace(
-        tuple(ca), tuple(cb), alpha, beta, gamma, omega, tuple(ra), tuple(rbb), remainder
+        tuple(ca), tuple(cb), alpha, beta, tuple(ra), tuple(rbb), remainder
     )
 
 
@@ -130,32 +128,32 @@ def add_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionM
         tuple(a + b for a, b in zip(row_a, row_b))
         for row_a, row_b in zip(ma.coeffs, mb.coeffs)
     )
-    return SuperpositionModel(ma.domain, rows, ma.support | mb.support)
+    return SuperpositionModel(ma.domain, rows, ma.const + mb.const)
 
 
 def mul_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:
-    """Product rule: recentered window products minus the centering constant,
-    plus the cross-row remainder on one row."""
+    """Product rule: alpha * beta as the constant, recentered window products
+    minus alpha * beta in every row where a factor has width, zero rows
+    elsewhere, plus the cross-row remainder on one row."""
     w = product_workspace(ma, mb)
+    const = w.alpha * w.beta
     rows = []
     for i in range(ma.dim):
         a_i, b_i = w.centers_a[i], w.centers_b[i]
-        off_a = w.alpha - a_i
-        off_b = w.beta - b_i
-        const = off_a * off_b + w.omega
+        if w.radii_a[i] == 0.0 and w.radii_b[i] == 0.0:
+            rows.append([_ZERO] * ma.branches)
+            continue
         rows.append(
             [
                 ((ea - a_i) + w.alpha) * ((eb - b_i) + w.beta) - const
                 for ea, eb in zip(ma.coeffs[i], mb.coeffs[i])
             ]
         )
-    support = ma.support | mb.support
     if w.remainder > 0.0:
-        k = _pick_remainder_row(rows, support)
+        k = _pick_remainder_row(rows)
         pad = Interval(-w.remainder, w.remainder)
         rows[k] = [e + pad for e in rows[k]]
-        support = support | {k}
-    return SuperpositionModel(ma.domain, tuple(tuple(r) for r in rows), support)
+    return SuperpositionModel(ma.domain, tuple(tuple(r) for r in rows), const)
 
 
 def sub_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:

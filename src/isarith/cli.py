@@ -134,8 +134,8 @@ def _base_meta(cfg: RunConfig) -> dict:
 
 
 def cmd_bound(cfg: RunConfig) -> int:
-    e = parse(cfg.expr, _spec_arity(cfg.domain))
     domain = parse_domain_spec(cfg.domain, cfg.branches)
+    e = parse(cfg.expr, domain.dim)
     models = eval_ism(e, domain)
     boxes = eval_interval(e, domain.boxes)
     for i, (m, box) in enumerate(zip(models, boxes)):
@@ -146,21 +146,12 @@ def cmd_bound(cfg: RunConfig) -> int:
     return 0
 
 
-def _spec_arity(spec: str) -> int:
-    return max(
-        int(p.partition("=")[0].strip()[1:])
-        for p in spec.split(";")
-        if p.strip()
-    )
-
-
 def run_compare(cfg: RunConfig) -> dict:
     """One comparison row: superposition vs plain interval bounds vs a grid
     oracle, with overestimation distances for both enclosures."""
     start = time.perf_counter()
-    arity = _spec_arity(cfg.domain)
-    e = parse(cfg.expr, arity)
     domain = parse_domain_spec(cfg.domain, cfg.branches)
+    e = parse(cfg.expr, domain.dim)
     model = eval_ism(e, domain)[0]
     rb = model.range_bounds()
     ia = eval_interval(e, domain.boxes)[0]

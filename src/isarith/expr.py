@@ -152,7 +152,7 @@ _OPS: dict[str, _Op] = {
     "sqr": _func("sqr", lambda v: v * v, np.square, Interval.sqr, lambda m: compose(Atom.SQR, m)),
     "inv": _func("inv", lambda v: 1.0 / _nonzero(v, "reciprocal of zero"),
                  lambda v: 1.0 / _nonzero(v, "reciprocal of zero"),
-                 Interval.inv, lambda m: compose(Atom.INV, m)),
+                 Interval.inv, lambda m: recip_model(m)),
     "exp": _func("exp", math.exp, np.exp, Interval.exp, lambda m: compose(Atom.EXP, m)),
     "log": _func("log", lambda v: math.log(_positive(v, "log of a non-positive value")),
                  lambda v: np.log(_positive(v, "log of a non-positive value")),

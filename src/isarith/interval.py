@@ -124,7 +124,8 @@ def _mul_down(a: float, b: float) -> float:
     p, e = _two_prod(a, b)
     _require_finite(p, "product")
     if e is None:
-        return _down(p)
+        # a positive product that underflowed to zero is bounded below by 0
+        return 0.0 if p == 0.0 and (a > 0.0) == (b > 0.0) else _down(p)
     return _down(p) if e < 0 else p
 
 
@@ -132,7 +133,8 @@ def _mul_up(a: float, b: float) -> float:
     p, e = _two_prod(a, b)
     _require_finite(p, "product")
     if e is None:
-        return _up(p)
+        # a negative product that underflowed to zero is bounded above by 0
+        return 0.0 if p == 0.0 and (a > 0.0) != (b > 0.0) else _up(p)
     return _up(p) if e > 0 else p
 
 
@@ -152,17 +154,6 @@ def _div_up(a: float, b: float) -> float:
     if exact == Fraction(q):
         return q
     return _up(q) if exact > Fraction(q) else q
-
-
-def _enclose_fraction(fr: Fraction) -> "Interval":
-    """Smallest interval with float endpoints containing the rational fr."""
-    f = float(fr)
-    ff = Fraction(f)
-    if ff == fr:
-        return Interval(f, f)
-    if ff < fr:
-        return Interval(f, _up(f))
-    return Interval(_down(f), f)
 
 
 def _has_grid_point(lo: float, hi: float, offset: float, period: float) -> bool:

@@ -1,11 +1,13 @@
 """Branched box domains and interval superposition models.
 
 A Domain is a box in R^n with every axis cut into N equidistant branches.
-A SuperpositionModel attaches an n x N matrix of interval coefficients to a
-Domain: the model's value at a point x is the interval sum of one coefficient
-per row, the one whose branch contains the corresponding coordinate of x.
-Because each row depends on a single coordinate, the exact range of the model
-is the sum of per-row minima and maxima and costs O(nN) to evaluate.
+A SuperpositionModel attaches an n x N matrix of interval coefficients and
+one interval constant to a Domain: the model's value at a point x is the
+constant plus the interval sum of one coefficient per row, the one whose
+branch contains the corresponding coordinate of x.  Because each row depends
+on a single coordinate, the exact range of the model is the constant plus the
+sum of per-row minima and maxima and costs O(nN) to evaluate.  A row the
+function does not depend on is exactly [0, 0] in every branch.
 """
 
 from __future__ import annotations
@@ -113,18 +115,22 @@ class RangeBounds:
     row_hi: tuple[float, ...]
 
 
+_ZERO = Interval(0.0, 0.0)
+
+
 @dataclass(frozen=True, slots=True)
 class SuperpositionModel:
-    """n x N interval coefficient matrix tied to a Domain.
+    """Interval constant plus an n x N interval coefficient matrix on a Domain.
 
-    ``support`` is bookkeeping for rows known to carry structure; rows outside
-    it must be constant across branches (typically all [0, 0]), which keeps
-    untouched rows recognizably trivial through long operation chains.
+    The value at a point is ``const`` plus one coefficient per row, 2nN + 2
+    numbers in all.  Constant terms go to ``const`` only, so a row the
+    function does not depend on stays exactly [0, 0] through any chain of
+    operations, and a model that depends on one coordinate stays separable.
     """
 
     domain: Domain
     coeffs: tuple[tuple[Interval, ...], ...]
-    support: frozenset[int]
+    const: Interval = _ZERO
 
     def __post_init__(self) -> None:
         n, cap = self.domain.dim, self.domain.branches
@@ -133,12 +139,6 @@ class SuperpositionModel:
         for i, row in enumerate(self.coeffs):
             if len(row) != cap:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {cap}")
-        for i in range(n):
-            if i in self.support:
-                continue
-            row = self.coeffs[i]
-            if any(e != row[0] for e in row):
-                raise ValueError(f"row {i} outside the support varies across branches")
 
     @property
     def dim(self) -> int:
@@ -155,18 +155,19 @@ class SuperpositionModel:
         """Exact model range via per-row extrema (outward-rounded sums)."""
         row_lo = tuple(min(e.lo for e in row) for row in self.coeffs)
         row_hi = tuple(max(e.hi for e in row) for row in self.coeffs)
-        lo = 0.0
-        hi = 0.0
+        lo = self.const.lo
+        hi = self.const.hi
         for a, b in zip(row_lo, row_hi):
             lo = _add_down(lo, a)
             hi = _add_up(hi, b)
         return RangeBounds(lo, hi, row_lo, row_hi)
 
     def evaluate(self, x: Sequence[float]) -> Interval:
-        """Interval value at a point: sum of the branch-selected coefficients."""
+        """Interval value at a point: the constant plus the branch-selected
+        coefficients."""
         if len(x) != self.dim:
             raise OutOfDomain(f"point has {len(x)} coordinates, domain has {self.dim}")
-        acc = Interval(0.0, 0.0)
+        acc = self.const
         for i, xi in enumerate(x):
             acc = acc + self.coeffs[i][self.domain.branch_index(i, xi)]
         return acc
@@ -184,47 +185,35 @@ class SuperpositionModel:
 
 def init_variable(domain: Domain, axis: int) -> SuperpositionModel:
     """Model of the coordinate function x -> x_axis: row `axis` holds the
-    branch intervals, every other row is zero."""
+    branch intervals, every other row and the constant are zero."""
     if not 0 <= axis < domain.dim:
         raise IndexError(f"axis {axis} out of range for dimension {domain.dim}")
-    zero = Interval(0.0, 0.0)
-    rows = []
-    for i in range(domain.dim):
-        if i == axis:
-            rows.append(tuple(domain.branch_interval(i, j) for j in range(domain.branches)))
-        else:
-            rows.append((zero,) * domain.branches)
-    return SuperpositionModel(domain, tuple(rows), frozenset({axis}))
+    rows = [(_ZERO,) * domain.branches] * domain.dim
+    rows[axis] = tuple(domain.branch_interval(axis, j) for j in range(domain.branches))
+    return SuperpositionModel(domain, tuple(rows))
 
 
 def init_constant(domain: Domain, c: float) -> SuperpositionModel:
-    """Model of the constant function: [c, c] in row 0, zeros elsewhere."""
+    """Model of the constant function: [c, c] in the constant, zero rows."""
     if not math.isfinite(c):
         raise ValueError(f"constant must be finite, got {c}")
-    zero = Interval(0.0, 0.0)
-    point = Interval.point(c)
-    rows = [(point,) * domain.branches]
-    rows += [(zero,) * domain.branches for _ in range(domain.dim - 1)]
-    return SuperpositionModel(domain, tuple(rows), frozenset())
+    rows = ((_ZERO,) * domain.branches,) * domain.dim
+    return SuperpositionModel(domain, rows, Interval.point(c))
 
 
 def _affine(
     m: SuperpositionModel, scale: float | Interval, shift: float | Interval = 0.0
 ) -> SuperpositionModel:
-    """Entrywise scale plus a shift added to row 0.  Exact and remainder-free;
-    the caller guarantees a nonzero scale so the support stays meaningful."""
-    rows = [tuple(e * scale for e in row) for row in m.coeffs]
-    if isinstance(shift, Interval) or shift != 0.0:
-        rows[0] = tuple(e + shift for e in rows[0])
-    return SuperpositionModel(m.domain, tuple(rows), m.support)
+    """Entrywise scale plus a shift of the constant.  Exact and remainder-free."""
+    rows = tuple(tuple(e * scale for e in row) for row in m.coeffs)
+    return SuperpositionModel(m.domain, rows, m.const * scale + shift)
 
 
 def _avg_diam(row: Sequence[Interval]) -> float:
     return sum(_sub_up(e.hi, e.lo) for e in row) / len(row)
 
 
-def _pick_remainder_row(rows: Sequence[Sequence[Interval]], support: frozenset[int]) -> int:
-    """Row that absorbs a remainder term: the support row whose entries have
-    the largest average diameter, lowest index on ties, row 0 as fallback."""
-    candidates = sorted(support) if support else [0]
-    return max(candidates, key=lambda i: (_avg_diam(rows[i]), -i))
+def _pick_remainder_row(rows: Sequence[Sequence[Interval]]) -> int:
+    """Row that absorbs a remainder term: the one whose entries have the
+    largest average diameter, lowest index on ties."""
+    return max(range(len(rows)), key=lambda i: (_avg_diam(rows[i]), -i))

@@ -147,11 +147,11 @@ def hausdorff_piecewise(
     """Overestimation distance of a piecewise enclosure.
 
     A tuple of superposition models over one domain encloses a vector function
-    pointwise: each branch cell of the domain carries its own box (the per
-    component sums of the selected coefficients).  The enclosure set is the
-    union of those N^n boxes, usually far smaller than the bounding box of the
-    ranges, and this measures the farthest point of that union from the
-    sampled image.  `clip` intersects every cell box with a global enclosure
+    pointwise: each branch cell of the domain carries its own box (per
+    component, the constant plus the selected coefficients).  The enclosure
+    set is the union of those N^n boxes, usually far smaller than the bounding
+    box of the ranges, and this measures the farthest point of that union from
+    the sampled image.  `clip` intersects every cell box with a global enclosure
     of the same function (sound: both contain the cell's true values).
 
     Cell boxes get a slice of the point budget each, so the scan is corner
@@ -178,13 +178,14 @@ def hausdorff_piecewise(
             )
     per_axis = max(2, int(max(budget // cells, 2**m) ** (1.0 / m)))
     rows = [[[(e.lo, e.hi) for e in mdl.coeffs[i]] for i in range(n)] for mdl in models]
+    consts = [mdl.const for mdl in models]
     tree = img.kd_tree()
     worst = 0.0
     for combo in itertools.product(range(cap), repeat=n):
         axes = []
         for c in range(m):
-            lo = sum(rows[c][i][j][0] for i, j in enumerate(combo))
-            hi = sum(rows[c][i][j][1] for i, j in enumerate(combo))
+            lo = sum((rows[c][i][j][0] for i, j in enumerate(combo)), consts[c].lo)
+            hi = sum((rows[c][i][j][1] for i, j in enumerate(combo)), consts[c].hi)
             if clip is not None:
                 lo, hi = max(lo, clip[c].lo), min(hi, clip[c].hi)
                 if lo > hi:
@@ -201,7 +202,8 @@ def hausdorff_piecewise(
 
 def brute_force_range(m: SuperpositionModel, *, budget: int = DEFAULT_BUDGET) -> tuple[float, float]:
     """Exact range by enumerating every branch tuple; the per-tuple endpoint
-    sums use the same directed rounding as the row-wise bounder."""
+    sums start from the constant and use the same directed rounding as the
+    row-wise bounder."""
     combos = m.branches**m.dim
     if combos > budget:
         raise BudgetExceeded(f"{combos} branch tuples exceed the budget {budget}")
@@ -210,8 +212,8 @@ def brute_force_range(m: SuperpositionModel, *, budget: int = DEFAULT_BUDGET) ->
     best_lo = math.inf
     best_hi = -math.inf
     for combo in itertools.product(range(m.branches), repeat=m.dim):
-        lo = 0.0
-        hi = 0.0
+        lo = m.const.lo
+        hi = m.const.hi
         for i, j in enumerate(combo):
             lo = _add_down(lo, lows[i][j])
             hi = _add_up(hi, highs[i][j])

@@ -1,12 +1,13 @@
 """Composition of a univariate atom with a superposition model.
 
 Composing g with a model works row by row: pick a central point a_i inside
-each row's hull, evaluate g over the recentered branch windows, and absorb the
-non-additive part of g into a scalar remainder bound that is added to a single
-row as a symmetric interval.  The remainder bound for each atom comes from a
-globally valid algebraic identity (addition theorems and their relatives), so
-no derivative or local expansion is involved and the construction stays valid
-on arbitrarily wide domains.
+each row's hull, let omega be the model constant plus the sum of the a_i,
+evaluate g over the recentered branch windows minus g(omega), keep g(omega)
+as the new constant, and absorb the non-additive part of g into a scalar
+remainder bound that is added to a single row as a symmetric interval.  The
+remainder bound for each atom comes from a globally valid algebraic identity
+(addition theorems and their relatives), so no derivative or local expansion
+is involved and the construction stays valid on arbitrarily wide domains.
 
 All remainder formulas are evaluated in interval arithmetic internally and the
 upper endpoint is returned, so rounding can only ever over-estimate.  A model
@@ -18,17 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from fractions import Fraction
 
-from .interval import (
-    PI_HALF,
-    DomainViolation,
-    Interval,
-    ZeroInDomain,
-    _enclose_fraction,
-    _sub_up,
-)
-from .model import RangeBounds, SuperpositionModel, _affine, _pick_remainder_row
+from .interval import PI_HALF, DomainViolation, Interval, ZeroInDomain, _sub_up
+from .model import _ZERO, RangeBounds, SuperpositionModel, _affine, _pick_remainder_row
 
 __all__ = [
     "Atom",
@@ -63,8 +56,8 @@ class Atom(Enum):
 
 @dataclass(frozen=True, slots=True)
 class CompositionWorkspace:
-    """Per-composition scalars: one central point per row, their sum as a thin
-    interval, per-row spread bounds, and the remainder."""
+    """Per-composition scalars: one central point per row, their sum plus the
+    model constant as an interval, per-row spread bounds, and the remainder."""
 
     centers: tuple[float, ...]
     omega: Interval
@@ -118,7 +111,7 @@ def central_points(g: Atom, m: SuperpositionModel, rb: RangeBounds | None = None
         else:
             centers.append(_clamp(lo + 0.5 * (hi - lo), lo, hi))
 
-    omega = Interval(0.0, 0.0)
+    omega = m.const
     for a in centers:
         omega = omega + a
 
@@ -249,14 +242,15 @@ def remainder_bound(
 def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
     """Model of g applied to the function the input model encloses.
 
-    Negation mirrors every coefficient and is exact.  Every other atom
-    evaluates g over the recentered branch windows, subtracts the centering
-    term (n-1)/n * g(omega) from each entry, and adds the remainder bound to
-    the row with the widest entries.
+    Negation mirrors every coefficient and the constant, and is exact.  Every
+    other atom takes g(omega) as the new constant, evaluates g over the
+    recentered branch windows of each row with width and subtracts g(omega)
+    there, leaves degenerate rows at exactly [0, 0] (their offset is zero),
+    and adds the remainder bound to the row with the widest entries.
     """
     if g is Atom.NEG:
         rows = tuple(tuple(-e for e in row) for row in m.coeffs)
-        return SuperpositionModel(m.domain, rows, m.support)
+        return SuperpositionModel(m.domain, rows, -m.const)
 
     rb = m.range_bounds()
     _check_atom_domain(g, rb)
@@ -264,20 +258,17 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
     r = remainder_bound(g, m, w, rb)
     w = replace(w, remainder=r)
 
-    n = m.dim
     apply = getattr(Interval, g.value)  # every atom but NEG names its Interval method
-    centering = apply(w.omega) * _enclose_fraction(Fraction(n - 1, n))
+    g_omega = apply(w.omega)
     rows = [
-        [apply((e - a) + w.omega) - centering for e in row]
-        for row, a in zip(m.coeffs, w.centers)
+        [apply((e - a) + w.omega) - g_omega for e in row] if lo < hi else [_ZERO] * m.branches
+        for row, a, lo, hi in zip(m.coeffs, w.centers, rb.row_lo, rb.row_hi)
     ]
-    support = m.support
     if r > 0.0:
-        k = _pick_remainder_row(rows, m.support)
+        k = _pick_remainder_row(rows)
         pad = Interval(-r, r)
         rows[k] = [e + pad for e in rows[k]]
-        support = support | {k}
-    return SuperpositionModel(m.domain, tuple(tuple(row) for row in rows), support)
+    return SuperpositionModel(m.domain, tuple(tuple(row) for row in rows), g_omega)
 
 
 def sqrt_model(m: SuperpositionModel) -> SuperpositionModel:

@@ -18,11 +18,9 @@ ATOM_NP = {
 }
 
 
-def make_model(domain, rows, support=None):
+def make_model(domain, rows, const=(0.0, 0.0)):
     coeffs = tuple(tuple(Interval(lo, hi) for lo, hi in row) for row in rows)
-    if support is None:
-        support = range(len(rows))
-    return SuperpositionModel(domain, coeffs, frozenset(support))
+    return SuperpositionModel(domain, coeffs, Interval(*const))
 
 
 def unit_domain(n, branches):

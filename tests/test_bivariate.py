@@ -73,7 +73,8 @@ class TestMul:
         p = mul_models(m, m)
         w = product_workspace(m, m)
         assert w.remainder == 0.0
-        e = p.coeffs[0][0]
+        assert p.const == Interval(0.25, 0.25)
+        e = p.coeffs[0][0] + p.const
         assert e.lo <= 0.0 and e.hi >= 1.0
         assert e.lo > -1e-12 and e.hi < 1.0 + 1e-12
 
@@ -83,16 +84,17 @@ class TestMul:
         a = init_variable(d, 0)
         b = init_variable(d, 1)
         w = product_workspace(a, b)
-        assert abs(w.omega.mid - 0.25) < 1e-12
+        assert (w.alpha.mid, w.beta.mid) == (0.5, 1.0)
         assert w.remainder == pytest.approx(0.5, abs=1e-12)
         p = mul_models(a, b)
+        assert p.const == Interval(0.5, 0.5)
         first = p.coeffs[0][0]
         second = p.coeffs[1][0]
         # remainder goes to the first row on an average-diameter tie
-        assert first.lo == pytest.approx(-0.75, abs=1e-12)
-        assert first.hi == pytest.approx(1.25, abs=1e-12)
-        assert second.lo == pytest.approx(-0.25, abs=1e-12)
-        assert second.hi == pytest.approx(0.75, abs=1e-12)
+        assert first.lo == pytest.approx(-1.0, abs=1e-12)
+        assert first.hi == pytest.approx(1.0, abs=1e-12)
+        assert second.lo == pytest.approx(-0.5, abs=1e-12)
+        assert second.hi == pytest.approx(0.5, abs=1e-12)
         rb = p.range_bounds()
         assert rb.lo == pytest.approx(-1.0, abs=1e-12)
         assert rb.hi == pytest.approx(2.0, abs=1e-12)
@@ -119,7 +121,7 @@ class TestMul:
                 ys = [rng.uniform(a.coeffs[i][j].lo, a.coeffs[i][j].hi) for i, j in enumerate(js)]
                 zs = [rng.uniform(b.coeffs[i][j].lo, b.coeffs[i][j].hi) for i, j in enumerate(js)]
                 target = sum(ys) * sum(zs)
-                window = Interval(0.0, 0.0)
+                window = p.const
                 for i, j in enumerate(js):
                     window = window + p.coeffs[i][j]
                 assert window.contains(target)
@@ -222,7 +224,8 @@ class TestScalarAffine:
         c = scalar_affine(m, 0.0, 5.0)
         rb = c.range_bounds()
         assert (rb.lo, rb.hi) == (5.0, 5.0)
-        assert c.support == frozenset()
+        assert c.const == Interval(5.0, 5.0)
+        assert all(e == Interval(0.0, 0.0) for row in c.coeffs for e in row)
 
     def test_affine_evaluation(self):
         d = Domain.of([(0, 2)], branches=4)

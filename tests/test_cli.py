@@ -70,6 +70,10 @@ class TestBound:
         assert main(["bound", "--expr", "log(x1)", "--domain", "x1=[-1,1]"]) == 2
         assert main(["bound", "--expr", "x1"]) == 2  # missing domain
 
+    def test_bad_axis_name_exits_2(self, capsys):
+        assert main(["bound", "--expr", "x1", "--domain", "foo=[0,1]"]) == 2
+        assert "bad axis name" in capsys.readouterr().err
+
     def test_quarter_cap_failure_exits_3(self, monkeypatch, capsys):
         from isarith import bivariate
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from isarith.bivariate import product_workspace
 from isarith.expr import (
     ArityError,
     Expr,
@@ -22,6 +23,7 @@ from isarith.expr import (
 )
 from isarith.interval import DomainViolation, Interval
 from isarith.model import Domain
+from isarith.univariate import Atom, central_points, remainder_bound
 
 F1_TEXTS = (
     "0.1*(exp(-sin(4*x1)+x2-x2^2-x1^2)-1)",
@@ -198,7 +200,7 @@ class TestEvalIsm:
         d = Domain.of([(0, 1)], branches=2)
         m = eval_ism(parse("x1", 1), d)[0]
         assert m.row(0) == (Interval(0, 0.5), Interval(0.5, 1))
-        assert m.support == frozenset({0})
+        assert m.const == Interval(0, 0)
 
     def test_separable_sum_diameter_shrinks_with_branching(self):
         e = parse("sin(x1)+sin(x2)", 2)
@@ -221,6 +223,20 @@ class TestEvalIsm:
         assert rb.hi == pytest.approx(0.5, abs=1e-12)
         rb = eval_ism(parse("2/x1", 1), d)[0].range_bounds()
         assert rb.lo <= 1.0 <= 2.0 <= rb.hi
+
+    def test_inv_of_negative_range_matches_reciprocal(self):
+        d = Domain.of([(-3.0, -1.0)], branches=4)
+        inv = eval_ism(parse("inv(x1)", 1), d)[0].range_bounds()
+        recip = eval_ism(parse("1/x1", 1), d)[0].range_bounds()
+        assert (inv.lo, inv.hi) == (recip.lo, recip.hi)
+        assert inv.lo <= -1.0 and -1.0 / 3.0 <= inv.hi
+
+    def test_separable_chain_keeps_exact_zero_remainders(self):
+        d = Domain.of([(0, 10), (0, 20)], branches=100)
+        sin2, cos2, prod = eval_ism(parse_vector(["sin(x2)", "cos(x2)", "sin(x2)*cos(x2)"], 2), d)
+        assert sin2.is_separable()
+        assert product_workspace(sin2, cos2).remainder == 0.0
+        assert remainder_bound(Atom.EXP, prod, central_points(Atom.EXP, prod)) == 0.0
 
     def test_domain_violation_carries_node_id(self):
         d = Domain.of([(-1.0, 1.0)], branches=2)

@@ -83,6 +83,14 @@ class TestMul:
             for b in (y.lo, y.hi):
                 assert Fraction(r.lo) <= Fraction(a) * Fraction(b) <= Fraction(r.hi)
 
+    def test_underflow_to_zero_keeps_the_sign(self):
+        tiny = math.ulp(0.0)
+        assert Interval(1e-200, 1e-200) * Interval(1e-200, 1e-200) == Interval(0.0, tiny)
+        assert Interval(-1e-200, -1e-200) * Interval(1e-200, 1e-200) == Interval(-tiny, 0.0)
+        # inclusion monotone: a product that underflows stays inside the larger one
+        big = Interval(0.0, 1.7341384870745271e-279)
+        assert (Interval(0.0, 1.0) * big).encloses(Interval(0.0, 1.8666640976643918e-50) * big)
+
     def test_scale_flips_for_negative_constant(self):
         assert Interval(1, 3).scale(-2.0) == Interval(-6, -2)
 

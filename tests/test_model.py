@@ -7,21 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_model
 from isarith.interval import Interval
-from isarith.model import (
-    Domain,
-    OutOfDomain,
-    SuperpositionModel,
-    init_constant,
-    init_variable,
-)
-
-
-def model_from_lists(domain, rows, support=None):
-    coeffs = tuple(tuple(Interval(lo, hi) for lo, hi in row) for row in rows)
-    if support is None:
-        support = frozenset(range(len(rows)))
-    return SuperpositionModel(domain, coeffs, frozenset(support))
+from isarith.model import Domain, OutOfDomain, init_constant, init_variable
 
 
 def brute_range(m):
@@ -107,7 +95,7 @@ class TestInit:
         m = init_variable(d, 0)
         assert m.row(0) == (Interval(0, 0.5), Interval(0.5, 1))
         assert m.row(1) == (Interval(0, 0), Interval(0, 0))
-        assert m.support == frozenset({0})
+        assert m.const == Interval(0, 0)
 
     def test_variable_range_is_exact(self):
         d = Domain.of([(-2, 5), (0, 1)], branches=7)
@@ -126,7 +114,9 @@ class TestInit:
         rb = init_constant(d, 3.5).range_bounds()
         assert (rb.lo, rb.hi) == (3.5, 3.5)
         assert init_constant(d, -1.0).evaluate((0.2, 0.9)) == Interval(-1, -1)
-        assert init_constant(d, 2.0).support == frozenset()
+        c = init_constant(d, 2.0)
+        assert c.const == Interval(2, 2)
+        assert all(e == Interval(0, 0) for row in c.coeffs for e in row)
 
     def test_storage_is_2nN_endpoints(self):
         d = Domain.of([(0, 1), (0, 2), (0, 3)], branches=5)
@@ -138,7 +128,7 @@ class TestInit:
 class TestRange:
     def test_two_row_example(self):
         d = Domain.of([(0, 1), (0, 1)], branches=2)
-        m = model_from_lists(d, [[(1, 2), (3, 4)], [(0, 1), (-1, 0)]])
+        m = make_model(d, [[(1, 2), (3, 4)], [(0, 1), (-1, 0)]])
         rb = m.range_bounds()
         assert (rb.lo, rb.hi) == brute_range(m) == (0.0, 5.0)
         assert rb.row_lo == (1.0, -1.0)
@@ -160,7 +150,7 @@ class TestRange:
                 lo = rng.integers(-5, 5, size=cap)
                 w = rng.integers(0, 4, size=cap)
                 rows.append([(float(a), float(a + b)) for a, b in zip(lo, w)])
-            m = model_from_lists(d, rows)
+            m = make_model(d, rows)
             rb = m.range_bounds()
             assert (rb.lo, rb.hi) == brute_range(m)  # integer sums are exact
 
@@ -168,7 +158,7 @@ class TestRange:
 class TestEvaluate:
     def test_selected_minkowski_sum(self):
         d = Domain.of([(0, 1), (0, 1)], branches=2)
-        m = model_from_lists(d, [[(1, 2), (3, 4)], [(0, 1), (-1, 0)]])
+        m = make_model(d, [[(1, 2), (3, 4)], [(0, 1), (-1, 0)]])
         # x picks branch 1 on axis 0 and branch 0 on axis 1
         assert m.evaluate((0.9, 0.2)) == Interval(3, 5)
 
@@ -189,7 +179,7 @@ class TestEvaluate:
             lo = rng.uniform(-3, 3, size=4)
             w = rng.uniform(0, 2, size=4)
             rows.append(list(zip(lo, lo + w)))
-        m = model_from_lists(d, rows)
+        m = make_model(d, rows)
         rb = m.range_bounds()
         window = Interval(rb.lo, rb.hi)
         for _ in range(1000):
@@ -206,7 +196,7 @@ class TestSeparable:
 
     def test_two_wide_rows(self):
         d = Domain.of([(0, 1), (0, 1)], branches=2)
-        m = model_from_lists(d, [[(1, 2), (3, 4)], [(0, 1), (-1, 0)]])
+        m = make_model(d, [[(1, 2), (3, 4)], [(0, 1), (-1, 0)]])
         assert not m.is_separable()
 
 
@@ -214,9 +204,4 @@ class TestValidation:
     def test_shape_mismatch(self):
         d = Domain.of([(0, 1), (0, 1)], branches=2)
         with pytest.raises(ValueError):
-            model_from_lists(d, [[(0, 1), (0, 1)]])
-
-    def test_rows_outside_support_must_be_constant(self):
-        d = Domain.of([(0, 1), (0, 1)], branches=2)
-        with pytest.raises(ValueError):
-            model_from_lists(d, [[(0, 1), (2, 3)], [(0, 0), (0, 0)]], support={1})
+            make_model(d, [[(0, 1), (0, 1)]])

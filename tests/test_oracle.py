@@ -18,7 +18,7 @@ from isarith.oracle import (
     remainder_violation_search,
     sample_image,
 )
-from isarith.univariate import Atom
+from isarith.univariate import Atom, compose
 
 
 class TestSampleImage:
@@ -123,6 +123,22 @@ class TestPiecewiseHausdorff:
         )
         assert clipped <= loose + 1e-12
 
+    def test_constant_shifts_every_cell(self):
+        from isarith.oracle import hausdorff_piecewise
+
+        d, models = self.setup_models()
+        xs = np.linspace(0, 1, 400)
+        img = ImageSample(np.column_stack([xs, xs**2]), (Interval(0, 1), Interval(0, 1)))
+        shifted = ImageSample(img.points + 1.0, (Interval(1, 2), Interval(1, 2)))
+        # the same cells moved by +1: rows lowered by 1, constant 2
+        moved = tuple(
+            make_model(d, [[(e.lo - 1.0, e.hi - 1.0) for e in m.coeffs[0]]], const=(2.0, 2.0))
+            for m in models
+        )
+        assert hausdorff_piecewise(shifted, moved, budget=10_000) == pytest.approx(
+            hausdorff_piecewise(img, models, budget=10_000), abs=1e-12
+        )
+
     def test_budget_guard(self):
         from isarith.oracle import BudgetExceeded, hausdorff_piecewise
 
@@ -154,11 +170,12 @@ class TestBruteForceRange:
     def test_agrees_with_row_bounder(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            m = random_model_for_atom(rng, Atom.SQR, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
-            rb = m.range_bounds()
-            lo, hi = brute_force_range(m)
-            assert math.isclose(lo, rb.lo, rel_tol=0, abs_tol=0) or abs(lo - rb.lo) <= math.ulp(abs(lo))
-            assert hi == rb.hi or abs(hi - rb.hi) <= math.ulp(abs(hi))
+            base = random_model_for_atom(rng, Atom.SQR, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
+            for m in (base, compose(Atom.EXP, base)):  # the second has a non-zero constant
+                rb = m.range_bounds()
+                lo, hi = brute_force_range(m)
+                assert math.isclose(lo, rb.lo, rel_tol=0, abs_tol=0) or abs(lo - rb.lo) <= math.ulp(abs(lo))
+                assert hi == rb.hi or abs(hi - rb.hi) <= math.ulp(abs(hi))
 
     def test_budget(self):
         d = Domain.of([(0, 1)] * 4, branches=50)

@@ -157,17 +157,17 @@ class TestCompose:
         assert compose(Atom.NEG, compose(Atom.NEG, m)).coeffs == m.coeffs
 
     def test_exp_on_separable_two_row_model(self):
-        m = make_model(unit_domain(2, 1), [[(0.0, 1.0)], [(0.0, 0.0)]], support={0})
+        m = make_model(unit_domain(2, 1), [[(0.0, 1.0)], [(0.0, 0.0)]])
         c = compose(Atom.EXP, m)
-        half_eomega = float((mpmath.e + 1) / 4)
-        lo_expected = float(1 - (mpmath.e + 1) / 4)  # 0.07042954...
-        hi_expected = float(mpmath.e - (mpmath.e + 1) / 4)  # 1.78871137...
+        eomega = float((mpmath.e + 1) / 2)
+        lo_expected = float(1 - (mpmath.e + 1) / 2)  # -0.85914091...
+        hi_expected = float(mpmath.e - (mpmath.e + 1) / 2)  # 0.85914091...
         top = c.coeffs[0][0]
         assert abs(top.lo - lo_expected) < 1e-10
         assert abs(top.hi - hi_expected) < 1e-10
-        const = c.coeffs[1][0]
-        assert abs(const.lo - half_eomega) < 1e-10
-        assert abs(const.hi - half_eomega) < 1e-10
+        assert c.coeffs[1][0] == Interval(0.0, 0.0)
+        assert abs(c.const.lo - eomega) < 1e-10
+        assert abs(c.const.hi - eomega) < 1e-10
         rb = c.range_bounds()
         assert rb.lo <= 1.0 <= rb.lo + 1e-10
         e_val = float(mpmath.e)
@@ -201,7 +201,7 @@ class TestCompose:
                 js = rng.integers(0, cap, size=n)
                 ys = [rng.uniform(m.coeffs[i][j].lo, m.coeffs[i][j].hi) for i, j in enumerate(js)]
                 target = g(sum(ys))
-                window = Interval(0.0, 0.0)
+                window = c.const
                 for i, j in enumerate(js):
                     window = window + c.coeffs[i][j]
                 assert window.contains(target), (atom, target, window)
