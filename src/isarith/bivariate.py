@@ -23,10 +23,10 @@ from .interval import Interval, _mul_up, _sub_up
 from .model import (
     _ZERO,
     DomainMismatch,
-    RangeBounds,
     SuperpositionModel,
     _affine,
-    _pick_remainder_row,
+    _midpoints_and_radii,
+    _with_remainder,
     init_constant,
 )
 from .univariate import Atom, compose, recip_model
@@ -72,20 +72,6 @@ def _same_domain(ma: SuperpositionModel, mb: SuperpositionModel) -> None:
         raise DomainMismatch("models live on different domains; re-grid before combining")
 
 
-def _midpoints_and_radii(rb: RangeBounds) -> tuple[list[float], list[float]]:
-    centers: list[float] = []
-    radii: list[float] = []
-    for lo, hi in zip(rb.row_lo, rb.row_hi):
-        if lo == hi:
-            centers.append(lo)
-            radii.append(0.0)
-        else:
-            a = min(max(lo + 0.5 * (hi - lo), lo), hi)
-            centers.append(a)
-            radii.append(max(_sub_up(hi, a), _sub_up(a, lo)))
-    return centers, radii
-
-
 def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> ProductWorkspace:
     _same_domain(ma, mb)
     n = ma.dim
@@ -93,10 +79,7 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
     ca, ra = _midpoints_and_radii(rba)
     cb, rbb = _midpoints_and_radii(rbx)
 
-    alpha, beta = ma.const, mb.const
-    for a, b in zip(ca, cb):
-        alpha = alpha + a
-        beta = beta + b
+    alpha, beta = sum(ca, ma.const), sum(cb, mb.const)
 
     active = [i for i in range(n) if ra[i] > 0.0 or rbb[i] > 0.0]
     if len(active) <= 1:
@@ -149,11 +132,7 @@ def mul_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionM
                 for ea, eb in zip(ma.coeffs[i], mb.coeffs[i])
             ]
         )
-    if w.remainder > 0.0:
-        k = _pick_remainder_row(rows)
-        pad = Interval(-w.remainder, w.remainder)
-        rows[k] = [e + pad for e in rows[k]]
-    return SuperpositionModel(ma.domain, tuple(tuple(r) for r in rows), const)
+    return _with_remainder(ma.domain, rows, const, w.remainder)
 
 
 def sub_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:

@@ -41,8 +41,11 @@ from .oracle import (
     sample_image,
 )
 
-#: Wide-domain showcase function used by the sweep experiment.
+#: Wide-domain showcase function used by the sweep experiment, with the
+#: sweep's first-axis tops (one CSV each) and branch counts (one column each).
 SHOWCASE_EXPR = "exp(sin(x1)+sin(x2)*cos(x2))"
+SWEEP_X1_TOPS = (0.1, 1.0, 10.0)
+SWEEP_BRANCH_COUNTS = (1, 10, 100)
 
 #: Three-component contractive map iterated by the recursion experiment
 #: (coefficients 0.1 and 0.2 wired in).
@@ -79,8 +82,11 @@ def parse_domain_spec(spec: str, branches: int) -> Domain:
             raise ValueError(f"bad axis name {name!r} in domain spec")
         if not (rest.startswith("[") and rest.endswith("]")):
             raise ValueError(f"axis {name}: expected [lo,hi], got {rest!r}")
+        axis = int(name[1:])
+        if axis in bounds:
+            raise ValueError(f"axis {name} given twice")
         lo_text, _, hi_text = rest[1:-1].partition(",")
-        bounds[int(name[1:])] = (_const_eval(lo_text), _const_eval(hi_text))
+        bounds[axis] = (_const_eval(lo_text), _const_eval(hi_text))
     if not bounds:
         raise ValueError("empty domain spec")
     n = max(bounds)
@@ -187,20 +193,17 @@ def cmd_compare(cfg: RunConfig) -> int:
 def run_sweep(
     out_dir: str,
     *,
-    expr_text: str = SHOWCASE_EXPR,
-    x1_tops: Sequence[float] = (0.1, 1.0, 10.0),
     points: int = 40,
-    branch_counts: Sequence[int] = (1, 10, 100),
     grid_budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> list[Path]:
     """Sweep the second axis top over a log grid for each first-axis top and
     record the overestimation distance per branch count plus the plain
     interval baseline.  One CSV per first-axis top."""
-    e = parse(expr_text, 2)
+    e = parse(SHOWCASE_EXPR, 2)
     x2_tops = np.geomspace(0.1, 20.0, points)
     written: list[Path] = []
-    for x1_top in x1_tops:
+    for x1_top in SWEEP_X1_TOPS:
         rows = []
         for x2_top in x2_tops:
             box = (Interval(0.0, float(x1_top)), Interval(0.0, float(x2_top)))
@@ -209,9 +212,9 @@ def run_sweep(
                 img = sample_image(e, box, grid=_grid_per_axis(grid_budget, 2), budget=grid_budget, seed=seed)
             except (DomainViolation, OverflowError) as err:
                 print(f"warning: oracle failed at x2max={x2_top}: {err}", file=sys.stderr)
-                rows.append(row + [None] * (len(branch_counts) + 1))
+                rows.append(row + [None] * (len(SWEEP_BRANCH_COUNTS) + 1))
                 continue
-            for cap in branch_counts:
+            for cap in SWEEP_BRANCH_COUNTS:
                 try:
                     m = eval_ism(e, Domain.of(box, cap))[0]
                     rb = m.range_bounds()
@@ -227,18 +230,16 @@ def run_sweep(
                 row.append(None)
             rows.append(row)
         path = Path(out_dir) / f"sweep_x1max_{x1_top:g}.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
         meta = {
             "version": __version__,
             "seed": seed,
-            "expr": expr_text,
+            "expr": SHOWCASE_EXPR,
             "x1max": f"{x1_top:g}",
             "grid_budget": grid_budget,
-            "branch_counts": " ".join(str(c) for c in branch_counts),
+            "branch_counts": " ".join(str(c) for c in SWEEP_BRANCH_COUNTS),
         }
-        header = ["x2max"] + [f"dH_isa_N{c}" for c in branch_counts] + ["dH_ia"]
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_csv(fh, meta, header, rows)
+        header = ["x2max"] + [f"dH_isa_N{c}" for c in SWEEP_BRANCH_COUNTS] + ["dH_ia"]
+        _emit(str(path), meta, header, rows)
         written.append(path)
     return written
 
@@ -329,16 +330,21 @@ def cmd_recursion(cfg: RunConfig) -> int:
     header = ["k", "dH_isa", "dH_ia"] + [
         f"oracle_{side}_{i}" for i in (1, 2, 3) for side in ("lo", "hi")
     ]
-    meta = {
-        "version": __version__,
-        "seed": cfg.seed,
-        "branches": cfg.branches,
-        "grid_budget": cfg.grid,
-        "domain": cfg.domain,
-        "depth": cfg.depth,
-    }
-    _emit(cfg.out, meta, header, rows)
+    _emit(cfg.out, _base_meta(cfg) | {"domain": cfg.domain, "depth": cfg.depth}, header, rows)
     return 0
+
+
+#: Every command flag by destination, with its default; a command that does
+#: not take a flag runs with that default in its RunConfig.
+_FLAGS = {
+    "expr": (("--expr",), {"help": "expression text"}),
+    "domain": (("--domain",), {"help": "domain spec x1=[a,b];..."}),
+    "branches": (("-N", "--branches"), {"type": int, "default": 16}),
+    "grid": (("--grid",), {"type": int, "default": DEFAULT_BUDGET, "help": "oracle point budget"}),
+    "seed": (("--seed",), {"type": int, "default": 0}),
+    "out": (("--out",), {"help": "output file (or directory for sweep)"}),
+    "depth": (("--depth",), {"type": int, "default": 10, "help": "recursion depth"}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -349,37 +355,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"isarith {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, domain_default=None, branches_default=16):
-        sp.add_argument("--expr", default=None, help="expression text")
-        sp.add_argument("--domain", default=domain_default, help="domain spec x1=[a,b];...")
-        sp.add_argument("-N", "--branches", type=int, default=branches_default)
-        sp.add_argument("--grid", type=int, default=DEFAULT_BUDGET, help="oracle point budget")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default=None, help="output file (or directory for sweep)")
-        sp.add_argument("--depth", type=int, default=10, help="recursion depth")
+    def flags(sp, *dests, **defaults):
+        for dest in dests:
+            names, kwargs = _FLAGS[dest]
+            sp.add_argument(*names, **kwargs)
+        sp.set_defaults(**defaults)
 
-    common(sub.add_parser("bound", help="print enclosure bounds"))
-    common(sub.add_parser("compare", help="one CSV row comparing enclosures"))
+    flags(sub.add_parser("bound", help="print enclosure bounds"), "expr", "domain", "branches")
+    flags(
+        sub.add_parser("compare", help="one CSV row comparing enclosures"),
+        "expr", "domain", "branches", "grid", "seed", "out",
+    )
     exp = sub.add_parser("experiment", help="benchmark experiments")
     which = exp.add_subparsers(dest="which", required=True)
     sweep = which.add_parser("sweep", help="domain-growth sweep of the showcase function")
-    common(sweep)
+    flags(sweep, "grid", "seed", "out")
     sweep.add_argument("--points", type=int, default=40, help="sweep resolution")
-    rec = which.add_parser("recursion", help="iterated-map contraction experiment")
-    common(rec, domain_default=RECURSION_DOMAIN, branches_default=20)
+    flags(
+        which.add_parser("recursion", help="iterated-map contraction experiment"),
+        "domain", "branches", "grid", "seed", "out", "depth",
+        domain=RECURSION_DOMAIN, branches=20,
+    )
     return p
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    opts = {dest: kwargs.get("default") for dest, (_, kwargs) in _FLAGS.items()} | vars(args)
     cfg = RunConfig(
-        expr=args.expr or SHOWCASE_EXPR,
-        domain=args.domain or "",
-        branches=args.branches,
-        grid=args.grid,
-        seed=args.seed,
-        out=args.out,
-        depth=args.depth,
+        expr=opts["expr"] or SHOWCASE_EXPR,
+        domain=opts["domain"] or "",
+        branches=opts["branches"],
+        grid=opts["grid"],
+        seed=opts["seed"],
+        out=opts["out"],
+        depth=opts["depth"],
     )
     try:
         if args.command == "bound":

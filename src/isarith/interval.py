@@ -312,32 +312,27 @@ class Interval:
             _steps(math.log(self.hi), ULP_MARGIN, _INF),
         )
 
-    def sin(self) -> Interval:
+    def _periodic(self, f, peak: float, trough: float) -> Interval:
+        """Image under sin or cos (f), whose maxima lie at peak + 2k*pi and
+        minima at trough + 2k*pi: an extremum that may lie inside is exact,
+        otherwise the endpoint values are widened by ULP_MARGIN ulps."""
         if self.diam >= math.tau:
             return Interval(-1.0, 1.0)
-        vlo, vhi = math.sin(self.lo), math.sin(self.hi)
+        vlo, vhi = f(self.lo), f(self.hi)
         lo, hi = min(vlo, vhi), max(vlo, vhi)
-        # maxima at pi/2 + 2k*pi, minima at -pi/2 + 2k*pi
-        hi = 1.0 if _has_grid_point(self.lo, self.hi, math.pi / 2, math.tau) else min(
+        hi = 1.0 if _has_grid_point(self.lo, self.hi, peak, math.tau) else min(
             1.0, _steps(hi, ULP_MARGIN, _INF)
         )
-        lo = -1.0 if _has_grid_point(self.lo, self.hi, -math.pi / 2, math.tau) else max(
+        lo = -1.0 if _has_grid_point(self.lo, self.hi, trough, math.tau) else max(
             -1.0, _steps(lo, ULP_MARGIN, -_INF)
         )
         return Interval(lo, hi)
 
+    def sin(self) -> Interval:
+        return self._periodic(math.sin, math.pi / 2, -math.pi / 2)
+
     def cos(self) -> Interval:
-        if self.diam >= math.tau:
-            return Interval(-1.0, 1.0)
-        vlo, vhi = math.cos(self.lo), math.cos(self.hi)
-        lo, hi = min(vlo, vhi), max(vlo, vhi)
-        hi = 1.0 if _has_grid_point(self.lo, self.hi, 0.0, math.tau) else min(
-            1.0, _steps(hi, ULP_MARGIN, _INF)
-        )
-        lo = -1.0 if _has_grid_point(self.lo, self.hi, math.pi, math.tau) else max(
-            -1.0, _steps(lo, ULP_MARGIN, -_INF)
-        )
-        return Interval(lo, hi)
+        return self._periodic(math.cos, 0.0, math.pi)
 
     def tan(self) -> Interval:
         # poles at pi/2 + k*pi; reject any interval that may touch one

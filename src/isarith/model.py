@@ -209,11 +209,32 @@ def _affine(
     return SuperpositionModel(m.domain, rows, m.const * scale + shift)
 
 
-def _avg_diam(row: Sequence[Interval]) -> float:
-    return sum(_sub_up(e.hi, e.lo) for e in row) / len(row)
+def _midpoints_and_radii(rb: RangeBounds) -> tuple[list[float], list[float]]:
+    """Midpoint of every row hull and the upward-rounded distance from it to
+    the farther hull endpoint; a degenerate row is centered on its single
+    value with radius exactly zero."""
+    centers: list[float] = []
+    radii: list[float] = []
+    for lo, hi in zip(rb.row_lo, rb.row_hi):
+        if lo == hi:
+            centers.append(lo)
+            radii.append(0.0)
+        else:
+            a = min(max(lo + 0.5 * (hi - lo), lo), hi)
+            centers.append(a)
+            radii.append(max(_sub_up(hi, a), _sub_up(a, lo)))
+    return centers, radii
 
 
-def _pick_remainder_row(rows: Sequence[Sequence[Interval]]) -> int:
-    """Row that absorbs a remainder term: the one whose entries have the
-    largest average diameter, lowest index on ties."""
-    return max(range(len(rows)), key=lambda i: (_avg_diam(rows[i]), -i))
+def _with_remainder(
+    domain: Domain, rows: list[list[Interval]], const: Interval, r: float
+) -> SuperpositionModel:
+    """Model of the given rows and constant with a scalar remainder r added as
+    [-r, r] to one row, in place: the row whose entries have the largest
+    average diameter, lowest index on ties."""
+    if r > 0.0:
+        avg_diam = [sum(_sub_up(e.hi, e.lo) for e in row) / len(row) for row in rows]
+        k = max(range(len(rows)), key=lambda i: (avg_diam[i], -i))
+        pad = Interval(-r, r)
+        rows[k] = [e + pad for e in rows[k]]
+    return SuperpositionModel(domain, tuple(tuple(row) for row in rows), const)

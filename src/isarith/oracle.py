@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 from .expr import _OPS, Expr, eval_points
 from .interval import Interval, _add_down, _add_up
 from .model import SuperpositionModel
-from .univariate import Atom, CompositionWorkspace, central_points, remainder_bound
+from .univariate import Atom, central_points, remainder_bound
 
 __all__ = [
     "BudgetExceeded",
@@ -106,6 +106,17 @@ def sample_image(
     return ImageSample(values, hull)
 
 
+def _check_hull(img: ImageSample, enclosure: Iterable[Interval]) -> None:
+    """Raise SoundnessViolation where the sampled hull escapes the enclosure;
+    the enclosure is consumed one axis at a time."""
+    for j, (hull, enc) in enumerate(zip(img.per_axis_hull, enclosure)):
+        if not enc.encloses(hull):
+            raise SoundnessViolation(
+                f"axis {j}: sampled hull [{hull.lo}, {hull.hi}] escapes "
+                f"enclosure [{enc.lo}, {enc.hi}]"
+            )
+
+
 def hausdorff_enclosure(
     img: ImageSample, enclosure: Sequence[Interval], *, budget: int = DEFAULT_BUDGET
 ) -> float:
@@ -120,12 +131,7 @@ def hausdorff_enclosure(
     m = img.n_outputs
     if len(enclosure) != m:
         raise ValueError(f"enclosure has {len(enclosure)} axes, image has {m}")
-    for j, (hull, enc) in enumerate(zip(img.per_axis_hull, enclosure)):
-        if not enc.encloses(hull):
-            raise SoundnessViolation(
-                f"axis {j}: sampled hull [{hull.lo}, {hull.hi}] escapes "
-                f"enclosure [{enc.lo}, {enc.hi}]"
-            )
+    _check_hull(img, enclosure)
     if m == 1:
         hull, enc = img.per_axis_hull[0], enclosure[0]
         return max(hull.lo - enc.lo, enc.hi - hull.hi)
@@ -166,16 +172,10 @@ def hausdorff_piecewise(
     cells = cap**n
     if cells > budget:
         raise BudgetExceeded(f"{cells} branch cells exceed the budget {budget}")
-    for j, (hull, mdl) in enumerate(zip(img.per_axis_hull, models)):
-        rb = mdl.range_bounds()
-        enc = Interval(rb.lo, rb.hi) if clip is None else Interval(
-            max(rb.lo, clip[j].lo), min(rb.hi, clip[j].hi)
-        )
-        if not enc.encloses(hull):
-            raise SoundnessViolation(
-                f"axis {j}: sampled hull [{hull.lo}, {hull.hi}] escapes "
-                f"enclosure [{enc.lo}, {enc.hi}]"
-            )
+    ranges = (Interval(rb.lo, rb.hi) for rb in (mdl.range_bounds() for mdl in models))
+    if clip is not None:
+        ranges = (Interval(max(r.lo, c.lo), min(r.hi, c.hi)) for r, c in zip(ranges, clip))
+    _check_hull(img, ranges)
     per_axis = max(2, int(max(budget // cells, 2**m) ** (1.0 / m)))
     rows = [[[(e.lo, e.hi) for e in mdl.coeffs[i]] for i in range(n)] for mdl in models]
     consts = [mdl.const for mdl in models]
@@ -227,7 +227,6 @@ def remainder_violation_search(
     m: SuperpositionModel,
     trials: int = 10_000,
     seed: int = 0,
-    workspace: CompositionWorkspace | None = None,
 ) -> float:
     """Search for offsets that violate the univariate remainder bound.
 
@@ -239,7 +238,7 @@ def remainder_violation_search(
     at points where the bound is attained exactly.
     """
     rb = m.range_bounds()
-    w = workspace if workspace is not None else central_points(g, m, rb)
+    w = central_points(g, m, rb)
     r = remainder_bound(g, m, w, rb)
     n = m.dim
     lo = np.array([l - a for l, a in zip(rb.row_lo, w.centers)])

@@ -17,11 +17,18 @@ in which at most one row has positive width incurs a remainder of exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .interval import PI_HALF, DomainViolation, Interval, ZeroInDomain, _sub_up
-from .model import _ZERO, RangeBounds, SuperpositionModel, _affine, _pick_remainder_row
+from .model import (
+    _ZERO,
+    RangeBounds,
+    SuperpositionModel,
+    _affine,
+    _midpoints_and_radii,
+    _with_remainder,
+)
 
 __all__ = [
     "Atom",
@@ -57,12 +64,11 @@ class Atom(Enum):
 @dataclass(frozen=True, slots=True)
 class CompositionWorkspace:
     """Per-composition scalars: one central point per row, their sum plus the
-    model constant as an interval, per-row spread bounds, and the remainder."""
+    model constant as an interval, and per-row spread bounds."""
 
     centers: tuple[float, ...]
     omega: Interval
     spreads: tuple[float, ...]
-    remainder: float
 
 
 def _check_atom_domain(g: Atom, rb: RangeBounds) -> None:
@@ -94,32 +100,27 @@ def central_points(g: Atom, m: SuperpositionModel, rb: RangeBounds | None = None
     center is its single value and its spread is exactly zero.
     """
     rb = rb if rb is not None else m.range_bounds()
-    centers: list[float] = []
-    for lo, hi in zip(rb.row_lo, rb.row_hi):
+    centers, _ = _midpoints_and_radii(rb)
+    for i, (lo, hi) in enumerate(zip(rb.row_lo, rb.row_hi)):
         if lo == hi:
-            centers.append(lo)
-        elif g is Atom.EXP:
+            continue
+        if g is Atom.EXP:
             eu, el = math.exp(hi), math.exp(lo)
             if not math.isfinite(eu):
                 raise OverflowError(f"exp central point overflows on row hull [{lo}, {hi}]")
-            centers.append(_clamp(math.log(0.5 * (eu + el)), lo, hi))
+            centers[i] = _clamp(math.log(0.5 * (eu + el)), lo, hi)
         elif g is Atom.INV:
             if rb.lo + rb.hi == 0.0:
                 raise DomainViolation("reciprocal center undefined: range endpoints cancel")
-            a = (lo * rb.hi + hi * rb.lo) / (rb.lo + rb.hi)
-            centers.append(_clamp(a, lo, hi))
-        else:
-            centers.append(_clamp(lo + 0.5 * (hi - lo), lo, hi))
+            centers[i] = _clamp((lo * rb.hi + hi * rb.lo) / (rb.lo + rb.hi), lo, hi)
 
-    omega = m.const
-    for a in centers:
-        omega = omega + a
+    omega = sum(centers, m.const)
 
     spreads = tuple(
         _spread(g, lo, hi, a, rb, omega)
         for lo, hi, a in zip(rb.row_lo, rb.row_hi, centers)
     )
-    return CompositionWorkspace(tuple(centers), omega, spreads, 0.0)
+    return CompositionWorkspace(tuple(centers), omega, spreads)
 
 
 def _spread(g: Atom, lo: float, hi: float, a: float, rb: RangeBounds, omega: Interval) -> float:
@@ -256,7 +257,6 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
     _check_atom_domain(g, rb)
     w = central_points(g, m, rb)
     r = remainder_bound(g, m, w, rb)
-    w = replace(w, remainder=r)
 
     apply = getattr(Interval, g.value)  # every atom but NEG names its Interval method
     g_omega = apply(w.omega)
@@ -264,11 +264,7 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
         [apply((e - a) + w.omega) - g_omega for e in row] if lo < hi else [_ZERO] * m.branches
         for row, a, lo, hi in zip(m.coeffs, w.centers, rb.row_lo, rb.row_hi)
     ]
-    if r > 0.0:
-        k = _pick_remainder_row(rows)
-        pad = Interval(-r, r)
-        rows[k] = [e + pad for e in rows[k]]
-    return SuperpositionModel(m.domain, tuple(tuple(row) for row in rows), g_omega)
+    return _with_remainder(m.domain, rows, g_omega, r)
 
 
 def sqrt_model(m: SuperpositionModel) -> SuperpositionModel:

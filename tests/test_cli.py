@@ -1,4 +1,5 @@
-"""Command-line surface: argument handling, CSV shape, determinism."""
+"""Command-line and package surface: argument handling, CSV shape,
+determinism, exported names."""
 
 import csv
 import math
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import isarith
+from isarith import bivariate, expr, interval, model, oracle, univariate
 from isarith.cli import (
     RECURSION_DOMAIN,
     RunConfig,
@@ -41,6 +44,12 @@ class TestDomainSpec:
             parse_domain_spec("y1=[0,1]", branches=2)
         with pytest.raises(ValueError):
             parse_domain_spec("", branches=2)
+
+    def test_repeated_axis(self, capsys):
+        with pytest.raises(ValueError, match="axis x1 given twice"):
+            parse_domain_spec("x1=[0,1];x1=[2,3]", branches=2)
+        assert main(["bound", "--expr", "x1", "--domain", "x1=[0,1];x1=[2,3]"]) == 2
+        assert "given twice" in capsys.readouterr().err
 
 
 class TestBound:
@@ -190,3 +199,40 @@ class TestRecursionCmd:
         rows = run_recursion(depth=2, branches=5, grid_budget=20_000, seed=0)
         assert [r[0] for r in rows] == [1, 2]
         assert rows[1][1] <= rows[1][2]  # piecewise enclosure inside baseline
+
+
+# each command with cheap valid arguments, then one flag it does not read
+_BOUND = ["bound", "--expr", "x1", "--domain", "x1=[0,1]"]
+_COMPARE = ["compare", "--expr", "x1", "--domain", "x1=[0,1]", "--grid", "100"]
+_SWEEP = ["experiment", "sweep", "--points", "2", "--grid", "100", "--out", "{tmp}"]
+_RECURSION = ["experiment", "recursion", "--depth", "1", "-N", "2", "--grid", "1000",
+              "--out", "{tmp}/rec.csv"]
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv", [
+        _BOUND + ["--grid", "100"],
+        _BOUND + ["--seed", "1"],
+        _BOUND + ["--out", "{tmp}/bound.txt"],
+        _BOUND + ["--depth", "2"],
+        _COMPARE + ["--depth", "2"],
+        _SWEEP + ["--expr", "x1"],
+        _SWEEP + ["--domain", "x1=[0,1]"],
+        _SWEEP + ["-N", "2"],
+        _SWEEP + ["--depth", "2"],
+        _RECURSION + ["--expr", "x1"],
+    ], ids=["bound-grid", "bound-seed", "bound-out", "bound-depth", "compare-depth", "sweep-expr",
+            "sweep-domain", "sweep-N", "sweep-depth", "recursion-expr"])
+    def test_exits_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_package_exports_every_module_name():
+    modules = (interval, model, univariate, bivariate, expr, oracle)
+    assert isarith.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+    for name in isarith.__all__:
+        assert getattr(isarith, name) is not None
+    assert isarith.ULP_MARGIN == interval.ULP_MARGIN
