@@ -107,10 +107,6 @@ class RunConfig:
     depth: int
 
 
-def _grid_per_axis(budget: int, n: int) -> int:
-    return max(2, int(budget ** (1.0 / n) + 1e-9))
-
-
 def _write_csv(stream: TextIO, meta: dict, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     for key in meta:
         stream.write(f"# {key}={meta[key]}\n")
@@ -161,9 +157,7 @@ def run_compare(cfg: RunConfig) -> dict:
     model = eval_ism(e, domain)[0]
     rb = model.range_bounds()
     ia = eval_interval(e, domain.boxes)[0]
-    img = sample_image(
-        e, domain.boxes, grid=_grid_per_axis(cfg.grid, domain.dim), budget=cfg.grid, seed=cfg.seed
-    )
+    img = sample_image(e, domain.boxes, budget=cfg.grid)
     d_isa = hausdorff_enclosure(img, [Interval(rb.lo, rb.hi)], budget=cfg.grid)
     d_ia = hausdorff_enclosure(img, [ia], budget=cfg.grid)
     hull = img.per_axis_hull[0]
@@ -209,7 +203,7 @@ def run_sweep(
             box = (Interval(0.0, float(x1_top)), Interval(0.0, float(x2_top)))
             row: list[object] = [float(x2_top)]
             try:
-                img = sample_image(e, box, grid=_grid_per_axis(grid_budget, 2), budget=grid_budget, seed=seed)
+                img = sample_image(e, box, budget=grid_budget)
             except (DomainViolation, OverflowError) as err:
                 print(f"warning: oracle failed at x2max={x2_top}: {err}", file=sys.stderr)
                 rows.append(row + [None] * (len(SWEEP_BRANCH_COUNTS) + 1))
@@ -307,10 +301,7 @@ def run_recursion(
             isa_boxes = carried
             ia_boxes = list(eval_interval(base, ia_boxes))
             flat = self_compose(base, k)
-            img = sample_image(
-                flat, domain0.boxes, grid=_grid_per_axis(grid_budget, 3),
-                budget=grid_budget, seed=seed,
-            )
+            img = sample_image(flat, domain0.boxes, budget=grid_budget)
             row.append(hausdorff_piecewise(img, models, clip=stage_trivial, budget=scan_budget))
             row.append(hausdorff_enclosure(img, ia_boxes, budget=scan_budget))
             for hull in img.per_axis_hull:
@@ -383,7 +374,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     opts = {dest: kwargs.get("default") for dest, (_, kwargs) in _FLAGS.items()} | vars(args)
     cfg = RunConfig(
-        expr=opts["expr"] or SHOWCASE_EXPR,
+        expr=opts["expr"] or "",
         domain=opts["domain"] or "",
         branches=opts["branches"],
         grid=opts["grid"],
@@ -393,10 +384,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         if args.command == "bound":
-            _require_domain(cfg)
+            _require_inputs(cfg)
             return cmd_bound(cfg)
         if args.command == "compare":
-            _require_domain(cfg)
+            _require_inputs(cfg)
             return cmd_compare(cfg)
         if args.which == "sweep":
             return cmd_sweep(cfg, args.points)
@@ -409,9 +400,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _EXIT_USAGE
 
 
-def _require_domain(cfg: RunConfig) -> None:
-    if not cfg.domain:
-        raise ValueError("--domain is required for this command")
+def _require_inputs(cfg: RunConfig) -> None:
+    for flag, value in (("--expr", cfg.expr), ("--domain", cfg.domain)):
+        if not value:
+            raise ValueError(f"{flag} is required for this command")
 
 
 if __name__ == "__main__":

@@ -50,18 +50,26 @@ _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 _SPLIT_LIMIT = 6.7e299  # beyond this the splitting itself overflows
 
 
+def _require_finite(x: float, what: str) -> float:
+    if not math.isfinite(x):
+        raise OverflowError(f"{what} overflowed to a non-finite value")
+    return x
+
+
 def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+    return _require_finite(math.nextafter(x, -_INF), "rounding down")
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+    return _require_finite(math.nextafter(x, _INF), "rounding up")
 
 
 def _steps(x: float, k: int, direction: float) -> float:
+    """x moved k floats toward direction, checked once: a step that leaves
+    the finite range stays infinite."""
     for _ in range(k):
         x = math.nextafter(x, direction)
-    return x
+    return _require_finite(x, "rounding")
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -94,12 +102,6 @@ def _two_prod(a: float, b: float) -> tuple[float, float | None]:
     return p, err
 
 
-def _require_finite(x: float, what: str) -> float:
-    if not math.isfinite(x):
-        raise OverflowError(f"{what} overflowed to a non-finite value")
-    return x
-
-
 def _add_down(a: float, b: float) -> float:
     s, e = _two_sum(a, b)
     _require_finite(s, "sum")
@@ -110,10 +112,6 @@ def _add_up(a: float, b: float) -> float:
     s, e = _two_sum(a, b)
     _require_finite(s, "sum")
     return _up(s) if e > 0 else s
-
-
-def _sub_down(a: float, b: float) -> float:
-    return _add_down(a, -b)
 
 
 def _sub_up(a: float, b: float) -> float:
@@ -300,8 +298,7 @@ class Interval:
 
     def exp(self) -> Interval:
         lo = math.exp(self.lo)
-        hi = math.exp(self.hi)
-        _require_finite(hi, "exp")
+        hi = math.exp(self.hi)  # raises OverflowError past the largest float
         return Interval(max(0.0, _steps(lo, ULP_MARGIN, -_INF)), _steps(hi, ULP_MARGIN, _INF))
 
     def log(self) -> Interval:

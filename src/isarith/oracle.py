@@ -35,7 +35,7 @@ DEFAULT_BUDGET = 10**6
 _CHUNK = 1 << 16
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ValueError):
     """The requested enumeration is larger than the configured budget."""
 
 
@@ -67,43 +67,57 @@ def _evaluate_chunked(e: Expr, xs: np.ndarray) -> np.ndarray:
     return np.concatenate(parts, axis=0)
 
 
+def _grid_per_axis(budget: int, n: int) -> int:
+    """Points per axis of the largest n-axis lattice within the budget."""
+    if budget < 2**n:
+        raise BudgetExceeded(f"a budget of {budget} points cannot hold 2 points on each of {n} axes")
+    return int(budget ** (1.0 / n) + 1e-9)
+
+
+def _lattice(bounds: Sequence[tuple[float, float]], per_axis: int) -> np.ndarray:
+    """The (per_axis**n, n) array of lattice points over the box with the
+    given (lo, hi) axes, corners included, first axis slowest."""
+    n = len(bounds)
+    points = np.empty((per_axis,) * n + (n,))
+    axes = (np.linspace(lo, hi, per_axis) for lo, hi in bounds)
+    for j, axis in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+        points[..., j] = axis  # broadcast in place, no full-size temporary per axis
+    return points.reshape(-1, n)
+
+
 def sample_image(
     e: Expr,
     box: Sequence[Interval],
     *,
     grid: int | None = None,
-    count: int | None = None,
-    seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> ImageSample:
-    """Evaluate the expression on a lattice (grid points per axis, corners
-    included) or on `count` seeded uniform draws."""
-    if (grid is None) == (count is None):
-        raise ValueError("pass exactly one of grid= or count=")
+    """Evaluate the expression on a lattice over the box, corners included,
+    with `grid` points per axis (by default the most the budget holds)."""
     n = len(box)
-    if grid is not None:
-        if grid < 2:
-            raise ValueError(f"grid needs at least 2 points per axis, got {grid}")
-        if grid**n > budget:
-            raise BudgetExceeded(f"{grid}^{n} lattice points exceed the budget {budget}")
-        axes = [np.linspace(b.lo, b.hi, grid) for b in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        xs = np.stack([g.ravel() for g in mesh], axis=1)
-    else:
-        if count < 1:
-            raise ValueError(f"count must be positive, got {count}")
-        if count > budget:
-            raise BudgetExceeded(f"{count} samples exceed the budget {budget}")
-        rng = np.random.default_rng(seed)
-        lo = np.array([b.lo for b in box])
-        hi = np.array([b.hi for b in box])
-        xs = rng.uniform(lo, hi, size=(count, n))
-    values = _evaluate_chunked(e, xs)
+    if grid is None:
+        grid = _grid_per_axis(budget, n)
+    elif grid < 2:
+        raise ValueError(f"grid needs at least 2 points per axis, got {grid}")
+    if grid**n > budget:
+        raise BudgetExceeded(f"{grid}^{n} lattice points exceed the budget {budget}")
+    values = _evaluate_chunked(e, _lattice([(b.lo, b.hi) for b in box], grid))
     hull = tuple(
         Interval(float(values[:, j].min()), float(values[:, j].max()))
         for j in range(values.shape[1])
     )
     return ImageSample(values, hull)
+
+
+def _farthest(img: ImageSample, boxes: Iterable, per_axis: int) -> float:
+    """Largest max-norm distance from the sampled image to a lattice point of
+    any of the boxes, each given by its (lo, hi) axes."""
+    tree = img.kd_tree()
+    worst = 0.0
+    for bounds in boxes:
+        dists, _ = tree.query(_lattice(bounds, per_axis), k=1, p=np.inf)
+        worst = max(worst, float(dists.max()))
+    return worst
 
 
 def _check_hull(img: ImageSample, enclosure: Iterable[Interval]) -> None:
@@ -135,12 +149,7 @@ def hausdorff_enclosure(
     if m == 1:
         hull, enc = img.per_axis_hull[0], enclosure[0]
         return max(hull.lo - enc.lo, enc.hi - hull.hi)
-    per_axis = max(2, int(budget ** (1.0 / m)))
-    axes = [np.linspace(enc.lo, enc.hi, per_axis) for enc in enclosure]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lattice = np.stack([g.ravel() for g in mesh], axis=1)
-    dists, _ = img.kd_tree().query(lattice, k=1, p=np.inf)
-    return float(dists.max())
+    return _farthest(img, [[(enc.lo, enc.hi) for enc in enclosure]], _grid_per_axis(budget, m))
 
 
 def hausdorff_piecewise(
@@ -176,28 +185,25 @@ def hausdorff_piecewise(
     if clip is not None:
         ranges = (Interval(max(r.lo, c.lo), min(r.hi, c.hi)) for r, c in zip(ranges, clip))
     _check_hull(img, ranges)
-    per_axis = max(2, int(max(budget // cells, 2**m) ** (1.0 / m)))
     rows = [[[(e.lo, e.hi) for e in mdl.coeffs[i]] for i in range(n)] for mdl in models]
     consts = [mdl.const for mdl in models]
-    tree = img.kd_tree()
-    worst = 0.0
-    for combo in itertools.product(range(cap), repeat=n):
-        axes = []
-        for c in range(m):
-            lo = sum((rows[c][i][j][0] for i, j in enumerate(combo)), consts[c].lo)
-            hi = sum((rows[c][i][j][1] for i, j in enumerate(combo)), consts[c].hi)
-            if clip is not None:
-                lo, hi = max(lo, clip[c].lo), min(hi, clip[c].hi)
-                if lo > hi:
-                    raise SoundnessViolation(
-                        f"cell {combo} box is disjoint from the clip on axis {c}"
-                    )
-            axes.append(np.linspace(lo, hi, per_axis))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        lattice = np.stack([g.ravel() for g in mesh], axis=1)
-        dists, _ = tree.query(lattice, k=1, p=np.inf)
-        worst = max(worst, float(dists.max()))
-    return worst
+
+    def cell_boxes():
+        for combo in itertools.product(range(cap), repeat=n):
+            bounds = []
+            for c in range(m):
+                lo = sum((rows[c][i][j][0] for i, j in enumerate(combo)), consts[c].lo)
+                hi = sum((rows[c][i][j][1] for i, j in enumerate(combo)), consts[c].hi)
+                if clip is not None:
+                    lo, hi = max(lo, clip[c].lo), min(hi, clip[c].hi)
+                    if lo > hi:
+                        raise SoundnessViolation(
+                            f"cell {combo} box is disjoint from the clip on axis {c}"
+                        )
+                bounds.append((lo, hi))
+            yield bounds
+
+    return _farthest(img, cell_boxes(), _grid_per_axis(max(budget // cells, 2**m), m))
 
 
 def brute_force_range(m: SuperpositionModel, *, budget: int = DEFAULT_BUDGET) -> tuple[float, float]:

@@ -100,7 +100,7 @@ def central_points(g: Atom, m: SuperpositionModel, rb: RangeBounds | None = None
     center is its single value and its spread is exactly zero.
     """
     rb = rb if rb is not None else m.range_bounds()
-    centers, _ = _midpoints_and_radii(rb)
+    centers, radii = _midpoints_and_radii(rb)
     for i, (lo, hi) in enumerate(zip(rb.row_lo, rb.row_hi)):
         if lo == hi:
             continue
@@ -117,16 +117,17 @@ def central_points(g: Atom, m: SuperpositionModel, rb: RangeBounds | None = None
     omega = sum(centers, m.const)
 
     spreads = tuple(
-        _spread(g, lo, hi, a, rb, omega)
-        for lo, hi, a in zip(rb.row_lo, rb.row_hi, centers)
+        _spread(g, lo, hi, a, rad, omega)
+        for lo, hi, a, rad in zip(rb.row_lo, rb.row_hi, centers, radii)
     )
     return CompositionWorkspace(tuple(centers), omega, spreads)
 
 
-def _spread(g: Atom, lo: float, hi: float, a: float, rb: RangeBounds, omega: Interval) -> float:
+def _spread(g: Atom, lo: float, hi: float, a: float, rad: float, omega: Interval) -> float:
+    """Offset bound of one row around its center a; rad is the row's radius
+    around its midpoint, which is the center of every atom that reads it."""
     if lo == hi or g is Atom.NEG:
         return 0.0
-    rad = max(_sub_up(hi, a), _sub_up(a, lo))
     if g in (Atom.SQR, Atom.LOG, Atom.TAN):
         return rad
     if g is Atom.EXP:

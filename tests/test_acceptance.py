@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import random_model_for_atom, random_separable_model
 from isarith.bivariate import product_workspace
@@ -67,6 +68,7 @@ def test_c2_sweep_monotone_in_branch_count(tmp_path):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_c3_recursion_dominates_baseline():
     # iterated map: piecewise enclosure beats the plain interval chain
     start = time.perf_counter()

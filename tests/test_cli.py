@@ -79,6 +79,13 @@ class TestBound:
         assert main(["bound", "--expr", "log(x1)", "--domain", "x1=[-1,1]"]) == 2
         assert main(["bound", "--expr", "x1"]) == 2  # missing domain
 
+    @pytest.mark.parametrize("command", ["bound", "compare"])
+    @pytest.mark.parametrize("expr_args", [[], ["--expr", ""]], ids=["absent", "empty"])
+    def test_missing_expression_exits_2(self, command, expr_args, capsys):
+        assert main([command, "--domain", "x1=[0,1];x2=[0,1]"] + expr_args) == 2
+        captured = capsys.readouterr()
+        assert "--expr is required" in captured.err and captured.out == ""
+
     def test_bad_axis_name_exits_2(self, capsys):
         assert main(["bound", "--expr", "x1", "--domain", "foo=[0,1]"]) == 2
         assert "bad axis name" in capsys.readouterr().err
@@ -228,6 +235,13 @@ class TestUnreadFlags:
             main([a.format(tmp=tmp_path) for a in argv])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-5"])
+@pytest.mark.parametrize("argv", [_COMPARE, _SWEEP, _RECURSION], ids=["compare", "sweep", "recursion"])
+def test_grid_below_two_points_per_axis_exits_2(argv, grid, tmp_path, capsys):
+    assert main([a.format(tmp=tmp_path) for a in argv] + ["--grid", grid]) == 2
+    assert "cannot hold 2 points" in capsys.readouterr().err
 
 
 def test_package_exports_every_module_name():

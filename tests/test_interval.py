@@ -1,19 +1,32 @@
 """Endpoint-level tests for the directed-rounding interval layer."""
 
 import math
+import operator
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import make_model
 from isarith.interval import (
     PI,
     PI_HALF,
+    ULP_MARGIN,
     DomainViolation,
     Interval,
     IntervalError,
     ZeroInDomain,
+    _add_down,
+    _add_up,
+    _div_down,
+    _div_up,
+    _mul_down,
+    _mul_up,
+    _steps,
+    _sub_up,
 )
+from isarith.model import Domain
 
 
 def ulps_apart(a: float, b: float) -> int:
@@ -285,3 +298,94 @@ def test_bulk_soundness_fuzz():
             if x.lo > 0.0:
                 assert x.inv().contains(1.0 / u)
                 assert x.log().contains(math.log(u))
+
+
+# ----------------------------------------------------------------------
+# directed rounding against exact rationals, over the whole float range
+# ----------------------------------------------------------------------
+
+MAX = sys.float_info.max
+TINY = math.ulp(0.0)
+# beyond this magnitude a rounding may legitimately leave the finite range
+NEAR_MAX = Fraction(math.nextafter(math.nextafter(MAX, 0.0), 0.0))
+
+any_float = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True) | st.sampled_from(
+    [MAX, -MAX, TINY, -TINY, sys.float_info.min, -sys.float_info.min, 0.0, 1.0, -1.0]
+)
+
+ROUNDED = [
+    (_add_down, _add_up, operator.add),
+    (_mul_down, _mul_up, operator.mul),
+    (_div_down, _div_up, operator.truediv),
+]
+
+
+def assert_tight(r: float, exact: Fraction, side: int) -> None:
+    """r bounds exact from below (side -1) or above (side +1), and two steps
+    back toward it reach or pass it."""
+    assert math.isfinite(r)
+    toward = math.inf if side < 0 else -math.inf
+    back = math.nextafter(math.nextafter(r, toward), toward)
+    if side < 0:
+        assert Fraction(r) <= exact and (back == math.inf or Fraction(back) >= exact)
+    else:
+        assert Fraction(r) >= exact and (back == -math.inf or Fraction(back) <= exact)
+
+
+def tight_or_overflow(call, exact: Fraction, side: int) -> None:
+    try:
+        r = call()
+    except OverflowError:
+        assert abs(exact) >= NEAR_MAX
+        return
+    assert_tight(r, exact, side)
+
+
+@settings(max_examples=1000, deadline=None)
+@example(1.0, MAX)
+@example(math.sqrt(MAX), math.nextafter(math.sqrt(MAX), math.inf))
+@example(1e-200, 1e-200)
+@example(-TINY, TINY)
+@given(any_float, any_float)
+def test_directed_rounding_is_tight_or_overflows(a, b):
+    for down, up, op in ROUNDED:
+        if op is operator.truediv and b == 0.0:
+            continue
+        exact = op(Fraction(a), Fraction(b))
+        tight_or_overflow(lambda: down(a, b), exact, -1)
+        tight_or_overflow(lambda: up(a, b), exact, 1)
+
+    x = Interval(min(a, b), max(a, b))
+    squares = [Fraction(v) ** 2 for v in (x.lo, x.hi)]
+    try:
+        sq = x.sqr()
+    except OverflowError:
+        assert max(squares) >= NEAR_MAX
+    else:
+        assert_tight(sq.lo, 0 if x.lo <= 0.0 <= x.hi else min(squares), -1)
+        assert_tight(sq.hi, max(squares), 1)
+    if x.lo <= 0.0 <= x.hi:
+        return
+    recips = (1 / Fraction(x.hi), 1 / Fraction(x.lo))
+    try:
+        inv = x.inv()
+    except OverflowError:
+        assert max(abs(r) for r in recips) >= NEAR_MAX
+    else:
+        assert_tight(inv.lo, recips[0], -1)
+        assert_tight(inv.hi, recips[1], 1)
+
+
+def test_rounding_past_the_largest_float_raises():
+    root = math.sqrt(MAX)
+    with pytest.raises(OverflowError):
+        _add_up(1.0, MAX)
+    with pytest.raises(OverflowError):
+        _sub_up(MAX, -1.0)
+    with pytest.raises(OverflowError):
+        _mul_up(root, math.nextafter(root, math.inf))
+    with pytest.raises(OverflowError):
+        _steps(math.nextafter(MAX, 0.0), ULP_MARGIN, math.inf)  # a transcendental margin
+    model = make_model(Domain.of([(0.0, 1.0)] * 2, 1), [[(0.0, MAX)], [(0.0, 1.0)]])
+    with pytest.raises(OverflowError):
+        model.range_bounds()

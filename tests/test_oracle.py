@@ -36,14 +36,32 @@ class TestSampleImage:
         with pytest.raises(BudgetExceeded):
             sample_image(parse("x1+x2", 2), [Interval(0, 1)] * 2, grid=2000, budget=10**6)
 
-    def test_random_mode_is_seed_deterministic(self):
-        e = parse("sin(x1)*cos(x2)", 2)
-        box = [Interval(0, 3), Interval(0, 3)]
-        a = sample_image(e, box, count=500, seed=99)
-        b = sample_image(e, box, count=500, seed=99)
-        assert np.array_equal(a.points, b.points)
-        c = sample_image(e, box, count=500, seed=100)
-        assert not np.array_equal(a.points, c.points)
+    def test_default_grid_fills_the_budget(self):
+        img = sample_image(parse("x1+x2+x3", 3), [Interval(0, 1)] * 3, budget=5**3)
+        assert img.points.shape == (5**3, 1)
+        assert sorted(set(img.points[:, 0])) == [k / 4 for k in range(13)]
+
+    @pytest.mark.parametrize("budget", [7, 0, -5])
+    def test_budget_below_two_points_per_axis(self, budget):
+        box = [Interval(0, 1)] * 3
+        with pytest.raises(BudgetExceeded, match="cannot hold 2 points"):
+            sample_image(parse("x1+x2+x3", 3), box, budget=budget)
+        img = ImageSample(np.zeros((1, 3)), (Interval(0, 0),) * 3)
+        with pytest.raises(BudgetExceeded, match="cannot hold 2 points"):
+            hausdorff_enclosure(img, box, budget=budget)
+
+    @pytest.mark.parametrize("bounds, per_axis", [
+        ([(0.0, 1.0)], 3),
+        ([(0.0, 1.0), (-2.0, 7.3)], 50),
+        ([(0.0, 1.0), (-2.0, 7.3), (0.5, 0.5)], 7),
+        ([(0.0, 1.0)] * 4, 2),
+    ])
+    def test_lattice_matches_dense_meshgrid(self, bounds, per_axis):
+        from isarith.oracle import _lattice
+
+        axes = [np.linspace(lo, hi, per_axis) for lo, hi in bounds]
+        dense = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        assert np.array_equal(_lattice(bounds, per_axis), dense)
 
     def test_grid_refinement_grows_hull(self):
         e = parse("sin(x1)+sin(x2)", 2)
@@ -88,6 +106,14 @@ class TestHausdorff:
         expected = max(0.5, 0.2, 0.4, 0.1)
         got = hausdorff_enclosure(img, enclosure, budget=64**3)
         assert got == pytest.approx(expected, abs=0.05)
+
+    def test_perfect_power_budget_scans_its_full_lattice(self):
+        # 125 ** (1/3) rounds to 4.999...; the scan must still use 5 points
+        # per axis, which land exactly on the sampled lattice
+        axis = np.arange(5.0)
+        pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
+        img = ImageSample(pts, (Interval(0, 4),) * 3)
+        assert hausdorff_enclosure(img, [Interval(0, 4)] * 3, budget=5**3) == 0.0
 
 
 class TestPiecewiseHausdorff:
