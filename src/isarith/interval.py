@@ -313,7 +313,8 @@ class Interval:
         """Image under sin or cos (f), whose maxima lie at peak + 2k*pi and
         minima at trough + 2k*pi: an extremum that may lie inside is exact,
         otherwise the endpoint values are widened by ULP_MARGIN ulps."""
-        if self.diam >= math.tau:
+        # isinf: a width past the largest float, where diam raises OverflowError
+        if math.isinf(self.hi - self.lo) or self.diam >= math.tau:
             return Interval(-1.0, 1.0)
         vlo, vhi = f(self.lo), f(self.hi)
         lo, hi = min(vlo, vhi), max(vlo, vhi)
@@ -333,7 +334,9 @@ class Interval:
 
     def tan(self) -> Interval:
         # poles at pi/2 + k*pi; reject any interval that may touch one
-        if self.diam >= math.pi or _has_grid_point(self.lo, self.hi, math.pi / 2, math.pi):
+        # isinf: a width past the largest float, where diam raises OverflowError
+        wide = math.isinf(self.hi - self.lo) or self.diam >= math.pi
+        if wide or _has_grid_point(self.lo, self.hi, math.pi / 2, math.pi):
             raise DomainViolation(f"tan over [{self.lo}, {self.hi}] spans a pole")
         return Interval(
             _steps(math.tan(self.lo), ULP_MARGIN, -_INF),

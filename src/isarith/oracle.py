@@ -33,6 +33,8 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**6
 _CHUNK = 1 << 16
+#: index blocks per axis that the enclosure scan cuts its lattice into
+_BLOCKS_PER_AXIS = 8
 
 
 class BudgetExceeded(ValueError):
@@ -58,7 +60,11 @@ class ImageSample:
 
     def kd_tree(self) -> cKDTree:
         if self._tree is None:
-            self._tree = cKDTree(self.points)
+            # sliding-midpoint splits and node boxes not shrunk to the data:
+            # on images that collapse onto a plane, as the recursion map's
+            # do, the default tree answers queries from outside the image up
+            # to a hundred times slower; the nearest distances are the same
+            self._tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
         return self._tree
 
 
@@ -74,15 +80,39 @@ def _grid_per_axis(budget: int, n: int) -> int:
     return int(budget ** (1.0 / n) + 1e-9)
 
 
+def _linspace(lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+    """`np.linspace(lo[i], hi[i], k)` for every entry of the arrays, stacked on
+    a new last axis, with k >= 2.
+
+    np.linspace given arrays switches every row to its zero-step formula as
+    soon as one row has a zero step, so it does not match the scalar calls row
+    by row; here each row picks its own formula, as the scalar call does.
+    """
+    i = np.arange(k, dtype=float)
+    delta = (hi - lo)[..., None]
+    step = delta / (k - 1)
+    points = np.where(step == 0, i / (k - 1) * delta, i * step) + lo[..., None]
+    points[..., -1] = hi
+    return points
+
+
+def _block_points(coords: np.ndarray) -> np.ndarray:
+    """The (blocks, k**m, m) lattice points of blocks given by their (blocks,
+    m, k) per-axis coordinates, first axis slowest within each block."""
+    blocks, m, k = coords.shape
+    points = np.empty((blocks,) + (k,) * m + (m,))
+    for j in range(m):
+        shape = [blocks] + [1] * m
+        shape[1 + j] = k
+        points[..., j] = coords[:, j].reshape(shape)  # broadcast in place
+    return points.reshape(blocks, -1, m)
+
+
 def _lattice(bounds: Sequence[tuple[float, float]], per_axis: int) -> np.ndarray:
     """The (per_axis**n, n) array of lattice points over the box with the
     given (lo, hi) axes, corners included, first axis slowest."""
-    n = len(bounds)
-    points = np.empty((per_axis,) * n + (n,))
-    axes = (np.linspace(lo, hi, per_axis) for lo, hi in bounds)
-    for j, axis in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
-        points[..., j] = axis  # broadcast in place, no full-size temporary per axis
-    return points.reshape(-1, n)
+    lo, hi = np.array(bounds, dtype=float).T
+    return _block_points(_linspace(lo, hi, per_axis)[None])[0]
 
 
 def sample_image(
@@ -109,14 +139,43 @@ def sample_image(
     return ImageSample(values, hull)
 
 
-def _farthest(img: ImageSample, boxes: Iterable, per_axis: int) -> float:
+def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     """Largest max-norm distance from the sampled image to a lattice point of
-    any of the boxes, each given by its (lo, hi) axes."""
+    any of the blocks, each given by its per-axis coordinates: an array of
+    shape (blocks, m, k) for k**m points per block.
+
+    Branch and bound: the distance to the nearest sample is 1-Lipschitz in the
+    max norm, so no point of a block lies farther than the block's midpoint
+    distance plus its max-norm reach from the midpoint.  Blocks are scanned by
+    falling bound, in batches that start at one block and double, and the scan
+    stops once no bound left exceeds the maximum found; the skipped points
+    cannot raise it, so the result is the exhaustive scan's to the last bit.
+    """
     tree = img.kd_tree()
-    worst = 0.0
-    for bounds in boxes:
-        dists, _ = tree.query(_lattice(bounds, per_axis), k=1, p=np.inf)
+    blocks, m, k = coords.shape
+    lo, hi = coords.min(axis=2), coords.max(axis=2)
+    mid = 0.5 * lo + 0.5 * hi
+    reach = np.maximum(hi - mid, mid - lo).max(axis=1)
+    near, _ = tree.query(mid, k=1, p=np.inf)
+    bound = near + reach
+    # A computed distance max_i |x_i - s_i| carries one rounding, so it lies
+    # within a factor 1 +- eps/2 of the exact distance, and the rounded reach
+    # within the same factor of the exact reach.  Chained through the
+    # Lipschitz bound, every point of a block has a computed distance below
+    # (1 + 2 eps) times the block's computed bound.  The slack takes 16 eps of
+    # the bound instead, plus 16 eps of the largest coordinate as a margin for
+    # the rounding inside the kd-tree's search.
+    bound += 16 * np.finfo(float).eps * (np.abs(coords).max(axis=(1, 2)) + bound)
+    order = np.argsort(-bound, kind="stable")
+    most = max(1, _CHUNK // k**m)
+    worst, start, size = 0.0, 0, 1
+    while start < blocks and bound[order[start]] > worst:
+        batch = order[start : start + size]
+        batch = batch[bound[batch] > worst]
+        dists, _ = tree.query(_block_points(coords[batch]).reshape(-1, m), k=1, p=np.inf)
         worst = max(worst, float(dists.max()))
+        start += size
+        size = min(2 * size, most)
     return worst
 
 
@@ -140,7 +199,11 @@ def hausdorff_enclosure(
     The enclosure must contain the sample hull componentwise; a violation is a
     soundness bug in the enclosure, not a large distance.  For one output the
     distance is exact; for several the enclosure box is scanned on a lattice
-    with the same budget discipline as the sampler.
+    with the same budget discipline as the sampler.  The lattice is cut into
+    equal index blocks and scanned by branch and bound (`_farthest`): a
+    block whose midpoint distance plus half-width cannot beat the maximum
+    found is never queried, which skips most of the lattice on a contracting
+    image and returns the maximum over every lattice point, bit for bit.
     """
     m = img.n_outputs
     if len(enclosure) != m:
@@ -149,7 +212,16 @@ def hausdorff_enclosure(
     if m == 1:
         hull, enc = img.per_axis_hull[0], enclosure[0]
         return max(hull.lo - enc.lo, enc.hi - hull.hi)
-    return _farthest(img, [[(enc.lo, enc.hi) for enc in enclosure]], _grid_per_axis(budget, m))
+    per_axis = _grid_per_axis(budget, m)
+    lo, hi = np.array([(enc.lo, enc.hi) for enc in enclosure]).T
+    axes = _linspace(lo, hi, per_axis)
+    # cut the lattice into equal index blocks per axis; the last ones repeat
+    # the edge index, which repeats points and leaves the maximum unchanged
+    parts = min(_BLOCKS_PER_AXIS, per_axis)
+    size = -(-per_axis // parts)
+    index = np.minimum(np.arange(parts * size), per_axis - 1).reshape(parts, size)
+    which = np.indices((parts,) * m).reshape(m, -1).T
+    return _farthest(img, axes[np.arange(m)[:, None], index[which]])
 
 
 def hausdorff_piecewise(
@@ -171,7 +243,11 @@ def hausdorff_piecewise(
 
     Cell boxes get a slice of the point budget each, so the scan is corner
     dominated; that under-resolves the sup slightly but never reports a cell
-    the models do not claim.
+    the models do not claim.  Each cell's lattice is one block of the branch
+    and bound scan (`_farthest`): a cell whose midpoint distance plus
+    half-width cannot beat the maximum found is never queried, so most cells
+    cost one midpoint query, and the result is the maximum over every cell's
+    lattice, bit for bit.
     """
     if not models:
         raise ValueError("need at least one component model")
@@ -185,25 +261,28 @@ def hausdorff_piecewise(
     if clip is not None:
         ranges = (Interval(max(r.lo, c.lo), min(r.hi, c.hi)) for r, c in zip(ranges, clip))
     _check_hull(img, ranges)
-    rows = [[[(e.lo, e.hi) for e in mdl.coeffs[i]] for i in range(n)] for mdl in models]
-    consts = [mdl.const for mdl in models]
-
-    def cell_boxes():
-        for combo in itertools.product(range(cap), repeat=n):
-            bounds = []
-            for c in range(m):
-                lo = sum((rows[c][i][j][0] for i, j in enumerate(combo)), consts[c].lo)
-                hi = sum((rows[c][i][j][1] for i, j in enumerate(combo)), consts[c].hi)
-                if clip is not None:
-                    lo, hi = max(lo, clip[c].lo), min(hi, clip[c].hi)
-                    if lo > hi:
-                        raise SoundnessViolation(
-                            f"cell {combo} box is disjoint from the clip on axis {c}"
-                        )
-                bounds.append((lo, hi))
-            yield bounds
-
-    return _farthest(img, cell_boxes(), _grid_per_axis(max(budget // cells, 2**m), m))
+    # every cell box at once, in the order of operations of a per-cell loop:
+    # the constant, then rows 0..n-1 left to right, then the clip
+    combos = np.indices((cap,) * n).reshape(n, -1)
+    lo = np.empty((cells, m))
+    hi = np.empty((cells, m))
+    for c, mdl in enumerate(models):
+        lo[:, c] = mdl.const.lo
+        hi[:, c] = mdl.const.hi
+        for i, row in enumerate(mdl.coeffs):
+            lo[:, c] += np.array([e.lo for e in row])[combos[i]]
+            hi[:, c] += np.array([e.hi for e in row])[combos[i]]
+    if clip is not None:
+        clip_lo, clip_hi = np.array([(e.lo, e.hi) for e in clip]).T
+        lo = np.where(clip_lo > lo, clip_lo, lo)
+        hi = np.where(clip_hi < hi, clip_hi, hi)
+        disjoint = np.argwhere(lo > hi)
+        if len(disjoint):
+            cell, c = disjoint[0]
+            combo = tuple(int(j) for j in np.unravel_index(cell, (cap,) * n))
+            raise SoundnessViolation(f"cell {combo} box is disjoint from the clip on axis {c}")
+    per_axis = _grid_per_axis(max(budget // cells, 2**m), m)
+    return _farthest(img, _linspace(lo, hi, per_axis))
 
 
 def brute_force_range(m: SuperpositionModel, *, budget: int = DEFAULT_BUDGET) -> tuple[float, float]:

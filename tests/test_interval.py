@@ -170,6 +170,12 @@ class TestTranscendental:
     def test_sin_wide_interval(self):
         assert Interval(0.0, 10.0).sin() == Interval(-1.0, 1.0)
 
+    def test_sin_width_past_largest_float(self):
+        assert Interval(-1e308, 1e308).sin() == Interval(-1.0, 1.0)
+
+    def test_cos_width_past_largest_float(self):
+        assert Interval(-1e308, 1e308).cos() == Interval(-1.0, 1.0)
+
     def test_cos_contains_minimum(self):
         r = Interval(3.0, 3.3).cos()  # pi inside
         assert r.lo == -1.0
@@ -185,6 +191,10 @@ class TestTranscendental:
             Interval(1.0, 2.0).tan()  # pi/2 inside
         with pytest.raises(DomainViolation):
             Interval(0.0, 4.0).tan()
+
+    def test_tan_width_past_largest_float(self):
+        with pytest.raises(DomainViolation):
+            Interval(-1e308, 1e308).tan()
 
 
 class TestPlumbing:

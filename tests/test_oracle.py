@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from conftest import make_model, random_model_for_atom, random_separable_model, unit_domain
-from isarith.expr import parse
+from isarith import cli, oracle
+from isarith.expr import eval_interval, eval_ism, parse, parse_vector, self_compose
 from isarith.interval import Interval
 from isarith.model import Domain, init_variable
 from isarith.oracle import (
@@ -15,6 +18,7 @@ from isarith.oracle import (
     SoundnessViolation,
     brute_force_range,
     hausdorff_enclosure,
+    hausdorff_piecewise,
     remainder_violation_search,
     sample_image,
 )
@@ -62,6 +66,19 @@ class TestSampleImage:
         axes = [np.linspace(lo, hi, per_axis) for lo, hi in bounds]
         dense = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
         assert np.array_equal(_lattice(bounds, per_axis), dense)
+
+    def test_linspace_matches_scalar_linspace_per_row(self):
+        # zero-width rows next to wide ones: np.linspace given these arrays
+        # moves every row to its zero-step formula and misses the scalar calls
+        from isarith.oracle import _linspace
+
+        lo = np.array([[0.1, 0.5, -3.0], [1e12, 0.3, 5e-324], [0.0, 0.0, -7.1]])
+        hi = np.array([[0.7, 0.5, 2.9], [1e12 + 0.5, 0.3, 5e-324], [1e-300, 1.0, 1e5]])
+        for k in (2, 3, 7, 46):
+            got = _linspace(lo, hi, k)
+            assert got.shape == lo.shape + (k,)
+            for idx in np.ndindex(lo.shape):
+                assert np.array_equal(got[idx], np.linspace(lo[idx], hi[idx], k)), (idx, k)
 
     def test_grid_refinement_grows_hull(self):
         e = parse("sin(x1)+sin(x2)", 2)
@@ -114,6 +131,107 @@ class TestHausdorff:
         pts = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")], axis=1)
         img = ImageSample(pts, (Interval(0, 4),) * 3)
         assert hausdorff_enclosure(img, [Interval(0, 4)] * 3, budget=5**3) == 0.0
+
+
+def _exhaustive(img, bounds, per_axis):
+    """The per-point scan the block scan must reproduce: every lattice point
+    of every box queried, the largest distance kept."""
+    tree = cKDTree(img.points)
+    points = np.concatenate([oracle._lattice(b, per_axis) for b in bounds])
+    return max(0.0, float(tree.query(points, k=1, p=np.inf)[0].max()))
+
+
+@st.composite
+def _scan_cases(draw):
+    """A sampled image and blocks of k points per axis, with zero-width axes,
+    large offsets under tiny widths, and samples on the blocks' lattices."""
+    m = draw(st.integers(2, 3))
+    k = draw(st.integers(2, 7))
+    offset = draw(st.sampled_from([0.0, 1.0, -3.5, 1e6, -1e12, 1e12]))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e-9, 1e-12]))
+    unit = st.floats(-1.0, 1.0)
+    width = st.just(0.0) | st.floats(0.0, 2.0)
+    blocks = draw(st.integers(1, 6))
+    lo = np.array([[offset + draw(unit) * scale for _ in range(m)] for _ in range(blocks)])
+    hi = lo + np.array([[draw(width) * scale for _ in range(m)] for _ in range(blocks)])
+    lattice = np.concatenate([oracle._lattice(list(zip(a, b)), k) for a, b in zip(lo, hi)])
+    points = np.array([
+        lattice[draw(st.integers(0, len(lattice) - 1))]
+        if draw(st.booleans())
+        else np.array([offset + 1.5 * draw(unit) * scale for _ in range(m)])
+        for _ in range(draw(st.integers(1, 12)))
+    ])
+    hull = tuple(Interval(float(c.min()), float(c.max())) for c in points.T)
+    return ImageSample(points, hull), lo, hi, k
+
+
+class TestBlockScan:
+    @settings(max_examples=300, deadline=None)
+    @given(_scan_cases())
+    def test_equals_the_exhaustive_scan(self, case):
+        img, lo, hi, k = case
+        boxes = [list(zip(a, b)) for a, b in zip(lo, hi)]
+        assert oracle._farthest(img, oracle._linspace(lo, hi, k)) == _exhaustive(img, boxes, k)
+        # the enclosure scan cuts a finer lattice over the first box and the
+        # hull into index blocks of several points per axis
+        box = [(min(a, h.lo), max(b, h.hi)) for a, b, h in zip(lo[0], hi[0], img.per_axis_hull)]
+        per_axis = 3 * k
+        got = hausdorff_enclosure(img, [Interval(*b) for b in box], budget=per_axis ** len(box))
+        assert got == _exhaustive(img, [box], per_axis)
+
+    def test_bound_carries_the_rounding_slack(self):
+        # block b's far corner is one ulp beyond its rounded midpoint bound;
+        # block a, a single point at exactly that bound, is scanned first, so
+        # without the slack block b would be pruned and its corner lost
+        s0, lo, hi = -4.0973523936194685, 0.9981562229493293, 1.7557405086953304
+        mid = 0.5 * lo + 0.5 * hi
+        rounded = (mid - s0) + max(hi - mid, mid - lo)
+        assert hi - s0 > rounded
+        img = ImageSample(np.array([[s0, 0.0]]), (Interval(s0, s0), Interval(0.0, 0.0)))
+        corner_lo = np.array([[s0, rounded], [lo, 0.0]])
+        corner_hi = np.array([[s0, rounded], [hi, 0.0]])
+        blocks = oracle._linspace(corner_lo, corner_hi, 2)
+        assert oracle._farthest(img, blocks) == hi - s0
+
+    def test_recursion_map_prunes_and_stays_exact(self, monkeypatch):
+        # depth 1 of run_recursion on a 10^5 grid, its scan budget included
+        grid_budget, branches = 10**5, 20
+        scan_budget = min(grid_budget, 200_000)
+        base = parse_vector(cli.RECURSION_TEXTS, 3)
+        domain0 = cli.parse_domain_spec(cli.RECURSION_DOMAIN, branches)
+        stage = Domain.of(cli._widen_thin(domain0.boxes), branches)
+        models = eval_ism(base, stage)
+        clip = eval_interval(base, stage.boxes)
+        ia_boxes = eval_interval(base, domain0.boxes)
+        img = sample_image(self_compose(base, 1), domain0.boxes, budget=grid_budget)
+
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "cKDTree", CountingTree)
+        d_ia = hausdorff_enclosure(img, ia_boxes, budget=scan_budget)
+        enclosure_points, queried[:] = sum(queried), []
+        d_isa = hausdorff_piecewise(img, models, clip=clip, budget=scan_budget)
+        piecewise_points = sum(queried)
+        monkeypatch.undo()
+
+        assert d_ia == _exhaustive(img, [[(b.lo, b.hi) for b in ia_boxes]], 46)
+        assert enclosure_points < 46**3 / 3
+
+        cells = []  # every cell box the way a per-cell loop sums it
+        for combo in np.ndindex((branches,) * 3):
+            box = []
+            for mdl, c in zip(models, clip):
+                lo = sum((mdl.coeffs[i][j].lo for i, j in enumerate(combo)), mdl.const.lo)
+                hi = sum((mdl.coeffs[i][j].hi for i, j in enumerate(combo)), mdl.const.hi)
+                box.append((max(lo, c.lo), min(hi, c.hi)))
+            cells.append(box)
+        assert d_isa == _exhaustive(img, cells, 2)
+        assert piecewise_points < len(cells) * 8 / 2
 
 
 class TestPiecewiseHausdorff:
