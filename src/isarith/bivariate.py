@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .interval import Interval, _mul_up, _sub_up
+from .interval import Interval, _interval_products, _mul_up, _sub_up, _sums_down, _sums_up
 from .model import (
-    _ZERO,
     DomainMismatch,
     SuperpositionModel,
     _affine,
     _midpoints_and_radii,
+    _windows,
     _with_remainder,
     init_constant,
 )
@@ -107,11 +107,9 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
 def add_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:
     """Entrywise sum; exact up to outward rounding, no remainder."""
     _same_domain(ma, mb)
-    rows = tuple(
-        tuple(a + b for a, b in zip(row_a, row_b))
-        for row_a, row_b in zip(ma.coeffs, mb.coeffs)
+    return SuperpositionModel(
+        ma.domain, _sums_down(ma.lo, mb.lo), _sums_up(ma.hi, mb.hi), ma.const + mb.const
     )
-    return SuperpositionModel(ma.domain, rows, ma.const + mb.const)
 
 
 def mul_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:
@@ -119,20 +117,11 @@ def mul_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionM
     minus alpha * beta in every row where a factor has width, zero rows
     elsewhere, plus the cross-row remainder on one row."""
     w = product_workspace(ma, mb)
-    const = w.alpha * w.beta
-    rows = []
-    for i in range(ma.dim):
-        a_i, b_i = w.centers_a[i], w.centers_b[i]
-        if w.radii_a[i] == 0.0 and w.radii_b[i] == 0.0:
-            rows.append([_ZERO] * ma.branches)
-            continue
-        rows.append(
-            [
-                ((ea - a_i) + w.alpha) * ((eb - b_i) + w.beta) - const
-                for ea, eb in zip(ma.coeffs[i], mb.coeffs[i])
-            ]
-        )
-    return _with_remainder(ma.domain, rows, const, w.remainder)
+    wide = [i for i in range(ma.dim) if w.radii_a[i] > 0.0 or w.radii_b[i] > 0.0]
+    lo, hi = _interval_products(
+        *_windows(ma, wide, w.centers_a, w.alpha), *_windows(mb, wide, w.centers_b, w.beta)
+    )
+    return _with_remainder(ma, wide, lo, hi, w.alpha * w.beta, w.remainder)
 
 
 def sub_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:

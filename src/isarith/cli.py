@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .bivariate import RemainderCapExceeded
-from .expr import ParseError, eval_interval, eval_ism, parse, parse_vector, self_compose
+from .expr import _NUMBER, ParseError, eval_interval, eval_ism, parse, parse_vector, self_compose
 from .interval import DomainViolation, Interval
 from .model import Domain
 from .oracle import (
@@ -60,7 +61,18 @@ _EXIT_USAGE = 2
 _EXIT_UNSOUND = 3
 
 
+_SIGNED_NUMBER = re.compile("-?" + _NUMBER)
+
+
 def _const_eval(text: str) -> float:
+    """Value of a constant expression.  A plain decimal literal skips the
+    parser when its float is finite and nonzero; that is the value the parser
+    folds it to, while it turns -0.0 into 0.0 and 1e999 into OverflowError."""
+    text = text.strip()
+    if _SIGNED_NUMBER.fullmatch(text):
+        v = float(text)
+        if v != 0.0 and math.isfinite(v):
+            return v
     e = parse(text, arity=0)
     node = e.nodes[e.outputs[0]]
     if node[0] != "const":

@@ -317,9 +317,12 @@ def _prune(nodes: Sequence[tuple], outputs: Sequence[int], arity: int) -> Expr:
     return Expr(tuple(kept), outs, arity)
 
 
+#: A decimal literal as the tokenizer reads it (unsigned).
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    rf"|(?P<num>{_NUMBER})"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
 )

@@ -1,14 +1,18 @@
 """Directed-rounding interval arithmetic over closed finite intervals.
 
 Every operation returns an interval that contains the exact real image of its
-arguments.  Rational operations (add, sub, mul, scale, shift, inv, sqr) round
-each endpoint to the nearest representable value in the outward direction,
-using error-free transformations to avoid widening results that are exact in
-floating point.  Transcendental operations (exp, log, sin, cos, tan) evaluate
-endpoints in working precision and widen each endpoint by ULP_MARGIN ulps.
+arguments.  Rational operations (add, sub, mul, inv, sqr) round each endpoint
+to the nearest representable value in the outward direction, using error-free
+transformations to avoid widening results that are exact in floating point.
+Transcendental operations (exp, log, sin, cos, tan) evaluate endpoints in
+working precision and widen each endpoint by ULP_MARGIN ulps.
 
 Endpoints are always finite; an operation that would overflow raises
 OverflowError instead of producing an infinite endpoint.
+
+The module also carries each rule over numpy arrays of endpoints, for the
+superposition models' coefficient matrices.  Those give every entry the bits
+the scalar rule gives it and raise the scalar rule's exception classes.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "Interval",
@@ -97,7 +103,7 @@ def _two_prod(a: float, b: float) -> tuple[float, float | None]:
     bhi = d - (d - b)
     blo = b - bhi
     err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    if err != err:  # NaN from an overflowing intermediate
+    if not math.isfinite(err):  # an intermediate product overflowed
         return p, None
     return p, err
 
@@ -136,22 +142,31 @@ def _mul_up(a: float, b: float) -> float:
     return _up(p) if e > 0 else p
 
 
+def _quotient_side(a: float, b: float, q: float) -> int:
+    """Sign of the exact a / b minus its rounded quotient q.
+
+    The residual a - q*b is exact: a - p loses nothing because p = fl(q*b)
+    lies within a factor 2 of a, and TwoProduct gives q*b = p + err exactly.
+    Where TwoProduct cannot be trusted the comparison is made in Fraction.
+    """
+    p, err = _two_prod(q, b)
+    if err is None:
+        exact, rounded = Fraction(a) / Fraction(b), Fraction(q)
+        return (exact > rounded) - (exact < rounded)
+    r = (a - p) - err
+    if r == 0.0:
+        return 0
+    return 1 if (r > 0.0) == (b > 0.0) else -1
+
+
 def _div_down(a: float, b: float) -> float:
-    q = a / b
-    _require_finite(q, "quotient")
-    exact = Fraction(a) / Fraction(b)
-    if exact == Fraction(q):
-        return q
-    return _down(q) if exact < Fraction(q) else q
+    q = _require_finite(a / b, "quotient")
+    return _down(q) if _quotient_side(a, b, q) < 0 else q
 
 
 def _div_up(a: float, b: float) -> float:
-    q = a / b
-    _require_finite(q, "quotient")
-    exact = Fraction(a) / Fraction(b)
-    if exact == Fraction(q):
-        return q
-    return _up(q) if exact > Fraction(q) else q
+    q = _require_finite(a / b, "quotient")
+    return _up(q) if _quotient_side(a, b, q) > 0 else q
 
 
 def _has_grid_point(lo: float, hi: float, offset: float, period: float) -> bool:
@@ -216,10 +231,6 @@ class Interval:
     def encloses(self, other: Interval) -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def hull(self, other: Interval) -> Interval:
-        """Smallest interval containing both operands."""
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     # ------------------------------------------------------------------
     # rational arithmetic
     # ------------------------------------------------------------------
@@ -265,14 +276,6 @@ class Interval:
 
     def __rmul__(self, other: float | int) -> Interval:
         return self * other
-
-    def shift(self, c: float) -> Interval:
-        """Translate by the constant c."""
-        return self + c
-
-    def scale(self, c: float) -> Interval:
-        """Multiply by the constant c (endpoints swap for c < 0)."""
-        return self * c
 
     def inv(self) -> Interval:
         """Reciprocal 1/x.  The interval must not contain zero."""
@@ -345,6 +348,221 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
+
+
+# ----------------------------------------------------------------------
+# the same rules over arrays of endpoints
+# ----------------------------------------------------------------------
+#
+# Each function works entrywise on equally shaped float64 arrays (operands,
+# or lower and upper endpoints) and gives every entry the bits of its scalar
+# rule, raising the scalar rule's exception classes.  The error-free
+# transformations run vectorized (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
+# 2005); transcendental endpoints go through math (libm) as in the scalar
+# rules, since numpy's own kernels differ from it in the last bit; and the
+# scalar min and max keep the first of equal candidates (so -0.0 and 0.0
+# depend on order), which ordered np.where chains reproduce.
+
+
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise OverflowError(f"{what} overflowed to a non-finite value")
+    return x
+
+
+def _round_sums(a, b, direction: float) -> np.ndarray:
+    """a + b rounded toward direction (-inf or inf); an overflowing entry is
+    left infinite for the caller to check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a + b
+        bv = s - a
+        err = (a - (s - bv)) + (b - bv)
+        wrong = err < 0.0 if direction < 0.0 else err > 0.0
+        return np.where(wrong, np.nextafter(s, direction), s)
+
+
+def _sums_down(a, b) -> np.ndarray:
+    return _finite(_round_sums(a, b, -_INF), "sum")
+
+
+def _sums_up(a, b) -> np.ndarray:
+    return _finite(_round_sums(a, b, _INF), "sum")
+
+
+def _two_prods(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_two_prod entrywise: the products, their error terms, and the mask of
+    the entries where _two_prod returns None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a * b
+        c = _SPLITTER * a
+        ahi = c - (c - a)
+        alo = a - ahi
+        d = _SPLITTER * b
+        bhi = d - (d - b)
+        blo = b - bhi
+        err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+        zero = (a == 0.0) | (b == 0.0)
+        untrusted = (np.abs(p) < 1e-290) | ~np.isfinite(p) | ~np.isfinite(err)
+        untrusted |= (np.abs(a) > _SPLIT_LIMIT) | (np.abs(b) > _SPLIT_LIMIT)
+    return p, np.where(zero, 0.0, err), untrusted & ~zero
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_mul_down and _mul_up entrywise, unchecked for a rounding step past the
+    largest float; entries without a trusted error term use the scalar rules."""
+    p, err, untrusted = _two_prods(a, b)
+    _finite(p, "product")
+    with np.errstate(over="ignore"):
+        down = np.where(err < 0.0, np.nextafter(p, -_INF), p)
+        up = np.where(err > 0.0, np.nextafter(p, _INF), p)
+    if untrusted.any():
+        pairs = list(zip(a[untrusted].tolist(), b[untrusted].tolist()))
+        down[untrusted] = [_mul_down(x, y) for x, y in pairs]
+        up[untrusted] = [_mul_up(x, y) for x, y in pairs]
+    return down, up
+
+
+def _quotients(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_div_down and _div_up of a by every entry of b, unchecked for a rounding
+    step past the largest float: the sign of the exact residual a - q*b, as in
+    _quotient_side, with Fraction only where TwoProduct is untrusted."""
+    with np.errstate(over="ignore"):
+        q = _finite(a / b, "quotient")
+    p, err, untrusted = _two_prods(q, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        side = np.sign((a - p) - err) * np.sign(b)
+        down = np.where(side < 0.0, np.nextafter(q, -_INF), q)
+        up = np.where(side > 0.0, np.nextafter(q, _INF), q)
+    if untrusted.any():
+        divisors = b[untrusted].tolist()
+        down[untrusted] = [_div_down(a, y) for y in divisors]
+        up[untrusted] = [_div_up(a, y) for y in divisors]
+    return down, up
+
+
+def _interval_products(alo, ahi, blo, bhi) -> tuple[np.ndarray, np.ndarray]:
+    """Interval.__mul__ entrywise: four directed products per entry, their
+    minimum and maximum taken in the scalar rule's order."""
+    shape = (4,) + np.shape(alo)
+    down, up = _products(np.concatenate((alo, alo, ahi, ahi)), np.concatenate((blo, bhi, blo, bhi)))
+    down = _finite(down, "rounding").reshape(shape)
+    up = _finite(up, "rounding").reshape(shape)
+    lo, hi = down[0], up[0]
+    for k in (1, 2, 3):
+        lo = np.where(down[k] < lo, down[k], lo)
+        hi = np.where(up[k] > hi, up[k], hi)
+    return lo, hi
+
+
+def _first(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+    """Endpoints of the first entry the mask selects, in row-major order."""
+    i = int(np.flatnonzero(mask)[0])
+    return float(lo.flat[i]), float(hi.flat[i])
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _steps_arrays(x: np.ndarray, k: int, direction: float) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        for _ in range(k):
+            x = np.nextafter(x, direction)
+    return _finite(x, "rounding")
+
+
+def _reaches(lo: np.ndarray, hi: np.ndarray, limit: float) -> np.ndarray:
+    """Entries as wide as limit: a width past the largest float, or a diam
+    (rounded up) of at least limit."""
+    with np.errstate(over="ignore"):
+        past = np.isinf(hi - lo)
+    diam = _round_sums(hi, -lo, _INF)
+    if (np.isinf(diam) & ~past).any():
+        raise OverflowError("rounding up overflowed to a non-finite value")
+    return past | (diam >= limit)
+
+
+def _has_grid_points(lo, hi, offset: float, period: float) -> np.ndarray:
+    """_has_grid_point entrywise, with the same float formulas."""
+    a = (lo - offset) / period
+    b = (hi - offset) / period
+    tol = 1e-9 + 2e-15 * np.maximum(np.abs(a), np.abs(b))
+    return np.ceil(a - tol) <= np.floor(b + tol)
+
+
+def _sqr_arrays(lo, hi):
+    n = len(lo)
+    pos = lo >= 0.0
+    neg = ~pos & (hi <= 0.0)
+    # the endpoint each square is taken of; a zero-spanning entry's lower end
+    # squares 0.0, which is the scalar rule's 0.0
+    base_lo = np.where(pos, lo, np.where(neg, hi, 0.0))
+    base_hi = np.where(pos, hi, np.where(neg, lo, np.where(hi > -lo, hi, -lo)))
+    both = np.concatenate((base_lo, base_hi))
+    down, up = _products(both, both)
+    down, up = _finite(down[:n], "rounding"), _finite(up[n:], "rounding")
+    return np.where(down > 0.0, down, 0.0), up
+
+
+def _inv_arrays(lo, hi):
+    spans = (lo <= 0.0) & (hi >= 0.0)
+    if spans.any():
+        raise ZeroInDomain("reciprocal of [{}, {}] spans zero".format(*_first(spans, lo, hi)))
+    n = len(lo)
+    down, up = _quotients(1.0, np.concatenate((hi, lo)))
+    return _finite(down[:n], "rounding"), _finite(up[n:], "rounding")
+
+
+def _exp_arrays(lo, hi):
+    down = _steps_arrays(_libm(math.exp, lo), ULP_MARGIN, -_INF)
+    up = _steps_arrays(_libm(math.exp, hi), ULP_MARGIN, _INF)
+    return np.where(down > 0.0, down, 0.0), up
+
+
+def _log_arrays(lo, hi):
+    bad = lo <= 0.0
+    if bad.any():
+        raise DomainViolation(
+            "log of [{}, {}] needs a positive lower endpoint".format(*_first(bad, lo, hi))
+        )
+    return (
+        _steps_arrays(_libm(math.log, lo), ULP_MARGIN, -_INF),
+        _steps_arrays(_libm(math.log, hi), ULP_MARGIN, _INF),
+    )
+
+
+def _periodic_arrays(lo, hi, f, peak: float, trough: float):
+    full = _reaches(lo, hi, math.tau)
+    vlo, vhi = _libm(f, lo), _libm(f, hi)
+    top = _steps_arrays(np.where(vhi > vlo, vhi, vlo), ULP_MARGIN, _INF)
+    bottom = _steps_arrays(np.where(vhi < vlo, vhi, vlo), ULP_MARGIN, -_INF)
+    top = np.where(_has_grid_points(lo, hi, peak, math.tau), 1.0, np.where(top < 1.0, top, 1.0))
+    bottom = np.where(
+        _has_grid_points(lo, hi, trough, math.tau), -1.0, np.where(bottom > -1.0, bottom, -1.0)
+    )
+    return np.where(full, -1.0, bottom), np.where(full, 1.0, top)
+
+
+def _tan_arrays(lo, hi):
+    poles = _reaches(lo, hi, math.pi) | _has_grid_points(lo, hi, math.pi / 2, math.pi)
+    if poles.any():
+        raise DomainViolation("tan over [{}, {}] spans a pole".format(*_first(poles, lo, hi)))
+    return (
+        _steps_arrays(_libm(math.tan, lo), ULP_MARGIN, -_INF),
+        _steps_arrays(_libm(math.tan, hi), ULP_MARGIN, _INF),
+    )
+
+
+#: Array form of each unary Interval method, by method name: (lo, hi) -> (lo, hi).
+_ARRAY_RULES = {
+    "sqr": _sqr_arrays,
+    "inv": _inv_arrays,
+    "exp": _exp_arrays,
+    "log": _log_arrays,
+    "sin": lambda lo, hi: _periodic_arrays(lo, hi, math.sin, math.pi / 2, -math.pi / 2),
+    "cos": lambda lo, hi: _periodic_arrays(lo, hi, math.cos, 0.0, math.pi),
+    "tan": _tan_arrays,
+}
 
 
 #: Tight enclosures of the circle constants (math.pi and math.tau round down).

@@ -16,7 +16,19 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .interval import Interval, _add_down, _add_up, _sub_up
+import numpy as np
+
+from .interval import (
+    _SPLIT_LIMIT,
+    Interval,
+    IntervalError,
+    _add_down,
+    _add_up,
+    _interval_products,
+    _sub_up,
+    _sums_down,
+    _sums_up,
+)
 
 __all__ = [
     "Domain",
@@ -118,27 +130,35 @@ class RangeBounds:
 _ZERO = Interval(0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SuperpositionModel:
     """Interval constant plus an n x N interval coefficient matrix on a Domain.
 
-    The value at a point is ``const`` plus one coefficient per row, 2nN + 2
+    The matrix is stored as two read-only (n, N) float64 arrays of lower and
+    upper endpoints, so every rule runs over the whole matrix at once.  The
+    value at a point is ``const`` plus one coefficient per row, 2nN + 2
     numbers in all.  Constant terms go to ``const`` only, so a row the
     function does not depend on stays exactly [0, 0] through any chain of
     operations, and a model that depends on one coordinate stays separable.
     """
 
     domain: Domain
-    coeffs: tuple[tuple[Interval, ...], ...]
+    lo: np.ndarray
+    hi: np.ndarray
     const: Interval = _ZERO
 
     def __post_init__(self) -> None:
-        n, cap = self.domain.dim, self.domain.branches
-        if len(self.coeffs) != n:
-            raise ValueError(f"coefficient matrix has {len(self.coeffs)} rows, domain has {n}")
-        for i, row in enumerate(self.coeffs):
-            if len(row) != cap:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {cap}")
+        shape = (self.domain.dim, self.domain.branches)
+        for name in ("lo", "hi"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.shape != shape:
+                raise ValueError(f"coefficient {name} has shape {a.shape}, domain needs {shape}")
+            a.flags.writeable = False  # rules share matrices between models
+            object.__setattr__(self, name, a)
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise IntervalError("non-finite coefficient endpoint")
+        if (self.lo > self.hi).any():
+            raise IntervalError("inverted coefficient interval")
 
     @property
     def dim(self) -> int:
@@ -148,13 +168,20 @@ class SuperpositionModel:
     def branches(self) -> int:
         return self.domain.branches
 
-    def row(self, i: int) -> tuple[Interval, ...]:
-        return self.coeffs[i]
+    @property
+    def coeffs(self) -> tuple[tuple[Interval, ...], ...]:
+        """The coefficient matrix as rows of Interval values (a copy)."""
+        return tuple(
+            tuple(Interval(a, b) for a, b in zip(row_lo, row_hi))
+            for row_lo, row_hi in zip(self.lo.tolist(), self.hi.tolist())
+        )
 
     def range_bounds(self) -> RangeBounds:
-        """Exact model range via per-row extrema (outward-rounded sums)."""
-        row_lo = tuple(min(e.lo for e in row) for row in self.coeffs)
-        row_hi = tuple(max(e.hi for e in row) for row in self.coeffs)
+        """Exact model range via per-row extrema (outward-rounded sums); each
+        extremum is the first of equal values in its row, as min and max pick."""
+        rows = np.arange(self.dim)
+        row_lo = tuple(self.lo[rows, self.lo.argmin(axis=1)].tolist())
+        row_hi = tuple(self.hi[rows, self.hi.argmax(axis=1)].tolist())
         lo = self.const.lo
         hi = self.const.hi
         for a, b in zip(row_lo, row_hi):
@@ -167,20 +194,12 @@ class SuperpositionModel:
         coefficients."""
         if len(x) != self.dim:
             raise OutOfDomain(f"point has {len(x)} coordinates, domain has {self.dim}")
-        acc = self.const
+        lo, hi = self.const.lo, self.const.hi
         for i, xi in enumerate(x):
-            acc = acc + self.coeffs[i][self.domain.branch_index(i, xi)]
-        return acc
-
-    def is_separable(self) -> bool:
-        """True when at most one row has positive width across its branches."""
-        wide = 0
-        for row in self.coeffs:
-            if min(e.lo for e in row) < max(e.hi for e in row):
-                wide += 1
-                if wide > 1:
-                    return False
-        return True
+            j = self.domain.branch_index(i, xi)
+            lo = _add_down(lo, self.lo.item(i, j))
+            hi = _add_up(hi, self.hi.item(i, j))
+        return Interval(lo, hi)
 
 
 def init_variable(domain: Domain, axis: int) -> SuperpositionModel:
@@ -188,25 +207,51 @@ def init_variable(domain: Domain, axis: int) -> SuperpositionModel:
     branch intervals, every other row and the constant are zero."""
     if not 0 <= axis < domain.dim:
         raise IndexError(f"axis {axis} out of range for dimension {domain.dim}")
-    rows = [(_ZERO,) * domain.branches] * domain.dim
-    rows[axis] = tuple(domain.branch_interval(axis, j) for j in range(domain.branches))
-    return SuperpositionModel(domain, tuple(rows))
+    grid = np.array([domain._grid(axis, j) for j in range(domain.branches + 1)])
+    lo = np.zeros((domain.dim, domain.branches))
+    hi = np.zeros((domain.dim, domain.branches))
+    lo[axis] = grid[:-1]
+    hi[axis] = grid[1:]
+    return SuperpositionModel(domain, lo, hi)
 
 
 def init_constant(domain: Domain, c: float) -> SuperpositionModel:
     """Model of the constant function: [c, c] in the constant, zero rows."""
     if not math.isfinite(c):
         raise ValueError(f"constant must be finite, got {c}")
-    rows = ((_ZERO,) * domain.branches,) * domain.dim
-    return SuperpositionModel(domain, rows, Interval.point(c))
+    zeros = np.zeros((domain.dim, domain.branches))
+    return SuperpositionModel(domain, zeros, zeros, Interval.point(c))
 
 
 def _affine(
     m: SuperpositionModel, scale: float | Interval, shift: float | Interval = 0.0
 ) -> SuperpositionModel:
-    """Entrywise scale plus a shift of the constant.  Exact and remainder-free."""
-    rows = tuple(tuple(e * scale for e in row) for row in m.coeffs)
-    return SuperpositionModel(m.domain, rows, m.const * scale + shift)
+    """Entrywise scale plus a shift of the constant.  Exact and remainder-free.
+
+    A scale of 1 or -1 keeps or mirrors the entries without multiplying
+    whenever the product rule would give the same bits: it does unless an
+    entry is nonzero and below 1e-290 or above the splitting limit in
+    magnitude, where the directed product widens by one step; and of equal
+    candidates it keeps the first, so an entry [-0.0, 0.0] becomes
+    [-0.0, -0.0] under 1 and [0.0, 0.0] under -1.
+    """
+    const = m.const * scale + shift
+    c_lo, c_hi = (scale.lo, scale.hi) if isinstance(scale, Interval) else (scale, scale)
+    if c_lo == c_hi and abs(c_lo) == 1.0 and _exact_products(m):
+        top = np.where(m.hi > m.lo, m.hi, m.lo)
+        if c_lo > 0.0:
+            return SuperpositionModel(m.domain, m.lo, top, const)
+        return SuperpositionModel(m.domain, -top, -m.lo, const)
+    lo, hi = _interval_products(
+        m.lo, m.hi, np.full(m.lo.shape, float(c_lo)), np.full(m.lo.shape, float(c_hi))
+    )
+    return SuperpositionModel(m.domain, lo, hi, const)
+
+
+def _exact_products(m: SuperpositionModel) -> bool:
+    """True when every entry's products with 1 and -1 are trusted exact."""
+    mags = np.abs(np.concatenate((m.lo, m.hi)))
+    return not ((mags > _SPLIT_LIMIT) | ((mags < 1e-290) & (mags > 0.0))).any()
 
 
 def _midpoints_and_radii(rb: RangeBounds) -> tuple[list[float], list[float]]:
@@ -226,15 +271,44 @@ def _midpoints_and_radii(rb: RangeBounds) -> tuple[list[float], list[float]]:
     return centers, radii
 
 
+def _windows(
+    m: SuperpositionModel, rows: list[int], centers: Sequence[float], omega: Interval
+) -> tuple[np.ndarray, np.ndarray]:
+    """The recentered branch windows (e - a_i) + omega of the given rows, each
+    row i moved by its center a_i."""
+    every = len(rows) == m.dim
+    a = np.array([centers[i] for i in rows])[:, None]
+    lo = _sums_down(_sums_down(m.lo if every else m.lo[rows], -a), omega.lo)
+    hi = _sums_up(_sums_up(m.hi if every else m.hi[rows], -a), omega.hi)
+    return lo, hi
+
+
 def _with_remainder(
-    domain: Domain, rows: list[list[Interval]], const: Interval, r: float
+    m: SuperpositionModel,
+    rows: list[int],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    const: Interval,
+    r: float,
 ) -> SuperpositionModel:
-    """Model of the given rows and constant with a scalar remainder r added as
-    [-r, r] to one row, in place: the row whose entries have the largest
-    average diameter, lowest index on ties."""
+    """Model on m's domain whose given rows hold lo and hi minus the constant,
+    whose other rows are zero, and which adds a scalar remainder r as [-r, r]
+    to one row: the row whose entries have the largest average diameter,
+    lowest index on ties.  The arrays padded are this function's own."""
+    lo, hi = _sums_down(lo, -const.hi), _sums_up(hi, -const.lo)
+    if len(rows) < m.dim:
+        lo, hi = _scatter(m, rows, lo), _scatter(m, rows, hi)
     if r > 0.0:
-        avg_diam = [sum(_sub_up(e.hi, e.lo) for e in row) / len(row) for row in rows]
-        k = max(range(len(rows)), key=lambda i: (avg_diam[i], -i))
-        pad = Interval(-r, r)
-        rows[k] = [e + pad for e in rows[k]]
-    return SuperpositionModel(domain, tuple(tuple(row) for row in rows), const)
+        diams = _sums_up(hi, -lo).tolist()
+        avg_diam = [sum(row) / len(row) for row in diams]
+        k = max(range(len(diams)), key=lambda i: (avg_diam[i], -i))
+        lo[k] = _sums_down(lo[k], -r)
+        hi[k] = _sums_up(hi[k], r)
+    return SuperpositionModel(m.domain, lo, hi, const)
+
+
+def _scatter(m: SuperpositionModel, rows: list[int], values: np.ndarray) -> np.ndarray:
+    """An (n, N) matrix holding the values in the given rows, zero elsewhere."""
+    out = np.zeros((m.dim, m.branches))
+    out[rows] = values
+    return out

@@ -89,9 +89,10 @@ def _linspace(lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
     by row; here each row picks its own formula, as the scalar call does.
     """
     i = np.arange(k, dtype=float)
-    delta = (hi - lo)[..., None]
-    step = delta / (k - 1)
-    points = np.where(step == 0, i / (k - 1) * delta, i * step) + lo[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):  # _farthest rejects the result
+        delta = (hi - lo)[..., None]
+        step = delta / (k - 1)
+        points = np.where(step == 0, i / (k - 1) * delta, i * step) + lo[..., None]
     points[..., -1] = hi
     return points
 
@@ -151,6 +152,9 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     stops once no bound left exceeds the maximum found; the skipped points
     cannot raise it, so the result is the exhaustive scan's to the last bit.
     """
+    # finite coordinates keep every midpoint and reach below the largest float
+    if not np.isfinite(coords).all():
+        raise OverflowError("a scan lattice coordinate overflowed to a non-finite value")
     tree = img.kd_tree()
     blocks, m, k = coords.shape
     lo, hi = coords.min(axis=2), coords.max(axis=2)
@@ -269,9 +273,9 @@ def hausdorff_piecewise(
     for c, mdl in enumerate(models):
         lo[:, c] = mdl.const.lo
         hi[:, c] = mdl.const.hi
-        for i, row in enumerate(mdl.coeffs):
-            lo[:, c] += np.array([e.lo for e in row])[combos[i]]
-            hi[:, c] += np.array([e.hi for e in row])[combos[i]]
+        for i in range(n):
+            lo[:, c] += mdl.lo[i, combos[i]]
+            hi[:, c] += mdl.hi[i, combos[i]]
     if clip is not None:
         clip_lo, clip_hi = np.array([(e.lo, e.hi) for e in clip]).T
         lo = np.where(clip_lo > lo, clip_lo, lo)
@@ -292,8 +296,7 @@ def brute_force_range(m: SuperpositionModel, *, budget: int = DEFAULT_BUDGET) ->
     combos = m.branches**m.dim
     if combos > budget:
         raise BudgetExceeded(f"{combos} branch tuples exceed the budget {budget}")
-    lows = [[e.lo for e in row] for row in m.coeffs]
-    highs = [[e.hi for e in row] for row in m.coeffs]
+    lows, highs = m.lo.tolist(), m.hi.tolist()
     best_lo = math.inf
     best_hi = -math.inf
     for combo in itertools.product(range(m.branches), repeat=m.dim):

@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .interval import PI_HALF, DomainViolation, Interval, ZeroInDomain, _sub_up
+from .interval import _ARRAY_RULES, PI_HALF, DomainViolation, Interval, ZeroInDomain, _sub_up
 from .model import (
-    _ZERO,
     RangeBounds,
     SuperpositionModel,
     _affine,
     _midpoints_and_radii,
+    _windows,
     _with_remainder,
 )
 
@@ -251,21 +251,17 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
     and adds the remainder bound to the row with the widest entries.
     """
     if g is Atom.NEG:
-        rows = tuple(tuple(-e for e in row) for row in m.coeffs)
-        return SuperpositionModel(m.domain, rows, -m.const)
+        return SuperpositionModel(m.domain, -m.hi, -m.lo, -m.const)
 
     rb = m.range_bounds()
     _check_atom_domain(g, rb)
     w = central_points(g, m, rb)
     r = remainder_bound(g, m, w, rb)
 
-    apply = getattr(Interval, g.value)  # every atom but NEG names its Interval method
-    g_omega = apply(w.omega)
-    rows = [
-        [apply((e - a) + w.omega) - g_omega for e in row] if lo < hi else [_ZERO] * m.branches
-        for row, a, lo, hi in zip(m.coeffs, w.centers, rb.row_lo, rb.row_hi)
-    ]
-    return _with_remainder(m.domain, rows, g_omega, r)
+    g_omega = getattr(Interval, g.value)(w.omega)  # every atom but NEG names its Interval method
+    wide = [i for i, (lo, hi) in enumerate(zip(rb.row_lo, rb.row_hi)) if lo < hi]
+    lo, hi = _ARRAY_RULES[g.value](*_windows(m, wide, w.centers, w.omega))
+    return _with_remainder(m, wide, lo, hi, g_omega, r)
 
 
 def sqrt_model(m: SuperpositionModel) -> SuperpositionModel:

@@ -19,8 +19,36 @@ ATOM_NP = {
 
 
 def make_model(domain, rows, const=(0.0, 0.0)):
-    coeffs = tuple(tuple(Interval(lo, hi) for lo, hi in row) for row in rows)
-    return SuperpositionModel(domain, coeffs, Interval(*const))
+    """Model from rows of (lo, hi) pairs and a (lo, hi) constant."""
+    lo = [[float(a) for a, _ in row] for row in rows]
+    hi = [[float(b) for _, b in row] for row in rows]
+    return SuperpositionModel(domain, lo, hi, Interval(*const))
+
+
+def row(m, i):
+    """Row i of a model's coefficient matrix as Interval values."""
+    return m.coeffs[i]
+
+
+def is_separable(m):
+    """True when at most one row of the model has positive width across its
+    branches."""
+    return int((m.lo.min(axis=1) < m.hi.max(axis=1)).sum()) <= 1
+
+
+def shift(iv, c):
+    """Interval translated by the constant c."""
+    return iv + c
+
+
+def scale(iv, c):
+    """Interval multiplied by the constant c (endpoints swap for c < 0)."""
+    return iv * c
+
+
+def hull(a, b):
+    """Smallest interval containing both operands."""
+    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
 def unit_domain(n, branches):

@@ -1,0 +1,281 @@
+"""The array model rules against the per-entry scalar rules, bit for bit.
+
+Every model rule runs over whole (n, N) endpoint arrays; `reference.py` holds
+the same rules one `Interval` at a time.  Each case compares lower and upper
+endpoints and the constant as raw bits, so a -0.0 where the scalar rule gives
+0.0 fails, or requires both to raise the same exception class.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import reference
+from conftest import make_model, random_model_for_atom, unit_domain
+from isarith.bivariate import add_models, mul_models, scalar_affine
+from isarith.interval import (
+    _ARRAY_RULES,
+    _SPLIT_LIMIT,
+    PI_HALF,
+    ULP_MARGIN,
+    Interval,
+    _add_down,
+    _add_up,
+    _interval_products,
+    _steps_arrays,
+    _sums_down,
+    _sums_up,
+)
+from isarith.model import _affine
+from isarith.univariate import Atom, compose, recip_model
+
+# values that take the array rules off their plain path: signed zeros,
+# subnormals, factors whose products fall below 1e-290, operands on either
+# side of the splitting limit
+SPECIAL = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-320, -2.5e-310, 2.0**-1022,
+    1e-150, -3e-152, 1e-146, 6.6e299, -6.6e299, 6.8e299, -7e299,
+)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def same_bits(a, b):
+    return np.array_equal(bits(a), bits(b))
+
+
+def outcome(fn):
+    """('ok', value) or ('raise', exception class)."""
+    try:
+        return "ok", fn()
+    except (ArithmeticError, ValueError) as err:
+        return "raise", type(err)
+
+
+def check_model(got, want):
+    """got: outcome of an array rule; want: outcome of its reference."""
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raise":
+        assert got[1] is want[1]
+        return False
+    m, (rows, const) = got[1], want[1]
+    assert same_bits(m.lo, [[e.lo for e in row] for row in rows])
+    assert same_bits(m.hi, [[e.hi for e in row] for row in rows])
+    assert same_bits([m.const.lo, m.const.hi], [const.lo, const.hi])
+    rb, ref = m.range_bounds(), reference.range_bounds(m)
+    assert same_bits([rb.lo, rb.hi, *rb.row_lo, *rb.row_hi], [ref.lo, ref.hi, *ref.row_lo, *ref.row_hi])
+    return True
+
+
+def sprinkle(rng, m, share=0.25, pool=SPECIAL):
+    """m with some entries replaced by [v, w] from the pool, ordered so the
+    interval is valid; equal values of either sign keep their drawn order."""
+    rows = [[(e.lo, e.hi) for e in row] for row in m.coeffs]
+    for row in rows:
+        for j in range(len(row)):
+            if rng.random() < share:
+                v, w = (float(pool[k]) for k in rng.integers(0, len(pool), size=2))
+                row[j] = (v, w) if not w < v else (w, v)
+    return make_model(m.domain, rows, (m.const.lo, m.const.hi))
+
+
+def zero_ties(m):
+    """m with row 0 led by signed-zero ties, so the row minimum and maximum
+    pick by order."""
+    rows = [[(e.lo, e.hi) for e in row] for row in m.coeffs]
+    rows[0][0] = (-0.0, 0.0)
+    if len(rows[0]) > 1:
+        rows[0][1] = (0.0, -0.0)
+    return make_model(m.domain, rows, (m.const.lo, m.const.hi))
+
+
+def degenerate_row(m, i, v):
+    rows = [[(e.lo, e.hi) for e in row] for row in m.coeffs]
+    rows[i] = [(v, v)] * m.branches
+    return make_model(m.domain, rows, (m.const.lo, m.const.hi))
+
+
+def random_models(rng, atom, count):
+    """Random models valid for the atom, a share of them with special entries,
+    signed-zero ties or a degenerate row."""
+    for t in range(count):
+        n, cap = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        m = random_model_for_atom(rng, atom, n, cap)
+        kind = t % 4
+        if kind == 1:
+            m = sprinkle(rng, m)
+        elif kind == 2:
+            m = zero_ties(m)
+        elif kind == 3:
+            m = degenerate_row(m, int(rng.integers(0, n)), float(rng.uniform(-0.5, 0.5)))
+        yield m
+
+
+class TestPrimitives:
+    def test_interval_products_match_interval_mul(self):
+        rng = np.random.default_rng(101)
+        pool = SPECIAL + (1.0, -1.0, 3.5, -0.25, 1e5, -1e-5)
+        for _ in range(200):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+            a = [sorted(rng.choice(pool, size=2).tolist()) for _ in range(shape[0] * shape[1])]
+            b = [sorted(rng.choice(pool, size=2).tolist()) for _ in range(shape[0] * shape[1])]
+            arrays = [np.array([p[k] for p in x]).reshape(shape) for x in (a, b) for k in (0, 1)]
+            got = outcome(lambda: _interval_products(*arrays))
+            want = outcome(lambda: [Interval(*x) * Interval(*y) for x, y in zip(a, b)])
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert same_bits(got[1][0].ravel(), [iv.lo for iv in want[1]])
+                assert same_bits(got[1][1].ravel(), [iv.hi for iv in want[1]])
+
+    def test_sums_match_interval_add(self):
+        rng = np.random.default_rng(102)
+        pool = SPECIAL + (1.0, -1.0, 0.1, 0.2, -0.3, 1e308, -1e308)
+        for _ in range(200):
+            x = rng.choice(pool, size=(3, 4))
+            y = rng.choice(pool, size=(3, 4))
+            for rounded, scalar in ((_sums_down, _add_down), (_sums_up, _add_up)):
+                got = outcome(lambda: rounded(x, y))
+                want = outcome(lambda: [scalar(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())])
+                assert got[0] == want[0]
+                if got[0] == "ok":
+                    assert same_bits(got[1].ravel(), want[1])
+
+    @pytest.mark.parametrize("name", sorted(_ARRAY_RULES))
+    def test_unary_rules_match_interval_methods(self, name):
+        rng = np.random.default_rng(sorted(_ARRAY_RULES).index(name) + 103)
+        positive = (5e-324, 1e-320, 2.0**-1022, 1e-150, 1e-146, 0.5, 1.0, 2.0, 10.0, 700.0, 1e15, 6.6e299)
+        pool = SPECIAL[:10] + (1.0, -1.0, 0.5, 2.0, -3.0, 10.0, 700.0, 1e15, math.pi / 2)
+        tan_pool = SPECIAL[:9] + (0.25, 0.5, -0.5, 1.0, -1.0, 1.2, -1.5, 1.55)
+        compared = 0
+        for _ in range(300):
+            if name in ("inv", "log"):  # one sign per entry, mostly inside the domain
+                signs = rng.choice((-1.0, 1.0), size=6) if name == "inv" else np.ones(6)
+                pairs = [sorted(float(v * sign) for v in rng.choice(positive, size=2)) for sign in signs]
+            else:
+                values = pool if name != "tan" else tan_pool
+                pairs = [sorted(float(v) for v in rng.choice(values, size=2)) for _ in range(6)]
+            lo = np.array([p[0] for p in pairs]).reshape(2, 3)
+            hi = np.array([p[1] for p in pairs]).reshape(2, 3)
+            got = outcome(lambda: _ARRAY_RULES[name](lo, hi))
+            want = [outcome(lambda: getattr(Interval(*p), name)()) for p in pairs]
+            raised = {w[1] for w in want if w[0] == "raise"}
+            if raised:
+                # the array rule checks one condition over every entry at a
+                # time, so it raises the class of some entry, not of the first
+                assert got[0] == "raise" and got[1] in raised, (name, pairs, got)
+                continue
+            assert got[0] == "ok", (name, pairs, got)
+            assert same_bits(got[1][0].ravel(), [w[1].lo for w in want])
+            assert same_bits(got[1][1].ravel(), [w[1].hi for w in want])
+            compared += 1
+        assert compared >= 20
+
+
+class TestRulesAgainstReference:
+    def test_add_models(self):
+        rng = np.random.default_rng(111)
+        models = list(random_models(rng, Atom.SQR, 160))
+        compared = 0
+        for a, b in zip(models[::2], models[1::2]):
+            if a.domain != b.domain:
+                b = make_model(a.domain, [[(0.5, 1.5)] * a.branches] * a.dim)
+                b = sprinkle(rng, b)
+            compared += check_model(outcome(lambda: add_models(a, b)), outcome(lambda: reference.add(a, b)))
+        assert compared >= 60
+
+    def test_mul_models(self):
+        rng = np.random.default_rng(112)
+        compared = 0
+        for t, m in enumerate(random_models(rng, Atom.SQR, 200)):
+            other = random_model_for_atom(rng, Atom.SQR, m.dim, m.branches)
+            if t % 5 in (3, 4):
+                m = random_model_for_atom(rng, Atom.SQR, m.dim, m.branches)
+            if t % 5 == 4:  # tiny factors: window products below 1e-290
+                m = make_model(m.domain, [[(e.lo * 1e-150, e.hi * 1e-150) for e in row] for row in m.coeffs])
+                other = make_model(m.domain, [[(e.lo * 1e-148, e.hi * 1e-148) for e in row] for row in other.coeffs])
+            elif t % 5 == 3:  # one factor beyond the splitting limit
+                big = _SPLIT_LIMIT * 1.5
+                m = make_model(m.domain, [[(e.lo * big / 4, e.hi * big / 4) for e in row] for row in m.coeffs])
+                other = make_model(m.domain, [[(e.lo * 1e-9, e.hi * 1e-9) for e in row] for row in other.coeffs])
+            compared += check_model(outcome(lambda: mul_models(m, other)), outcome(lambda: reference.mul(m, other)))
+        assert compared >= 120
+
+    @pytest.mark.parametrize("c", [1.0, -1.0, 2.5, -0.3, 1e-300, 3.0e299, 0.0])
+    @pytest.mark.parametrize("d", [0.0, 1.5])
+    def test_scalar_affine(self, c, d):
+        rng = np.random.default_rng(113)
+        compared = 0
+        for m in random_models(rng, Atom.SQR, 40):
+            compared += check_model(
+                outcome(lambda: scalar_affine(m, c, d)), outcome(lambda: reference.scalar_affine(m, c, d))
+            )
+        assert compared >= 10
+
+    def test_interval_scale_and_shift(self):
+        # division by a constant scales by an interval; cot shifts by pi/2
+        rng = np.random.default_rng(114)
+        scale = Interval.point(3.0).inv()
+        for m in random_models(rng, Atom.SQR, 40):
+            check_model(outcome(lambda: _affine(m, scale)), outcome(lambda: reference.affine(m, scale)))
+            check_model(
+                outcome(lambda: _affine(m, -1.0, PI_HALF)), outcome(lambda: reference.affine(m, -1.0, PI_HALF))
+            )
+
+    @pytest.mark.parametrize("atom", list(Atom))
+    def test_compose(self, atom):
+        rng = np.random.default_rng(115 + list(Atom).index(atom))
+        compared = 0
+        for m in random_models(rng, atom, 80):
+            compared += check_model(outcome(lambda: compose(atom, m)), outcome(lambda: reference.compose(atom, m)))
+        assert compared >= 40
+
+    def test_recip_model_both_signs(self):
+        rng = np.random.default_rng(116)
+        compared = 0
+        for t, m in enumerate(random_models(rng, Atom.INV, 80)):
+            if t % 2:
+                m = make_model(m.domain, [[(-e.hi, -e.lo) for e in row] for row in m.coeffs])
+            compared += check_model(outcome(lambda: recip_model(m)), outcome(lambda: reference.recip(m)))
+        assert compared >= 40
+
+
+class TestUnitScale:
+    """A scale of 1 or -1 skips the product and must give its bits."""
+
+    ENTRIES = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (-1.0, 0.0), (-0.0, 2.0), (0.5, 0.5), (-3.0, -1.0)]
+
+    @pytest.mark.parametrize("c", [1.0, -1.0, Interval(1.0, 1.0), Interval(-1.0, -1.0)])
+    def test_matches_the_product_with_signed_zeros(self, c):
+        m = make_model(unit_domain(2, 4), [self.ENTRIES[:4], self.ENTRIES[4:]], const=(-0.0, 0.0))
+        got = _affine(m, c)
+        rows, const = reference.affine(m, c)
+        full = [np.full(m.lo.shape, float(v)) for v in ((c, c) if isinstance(c, float) else (c.lo, c.hi))]
+        lo, hi = _interval_products(m.lo, m.hi, *full)
+        assert same_bits(got.lo, lo) and same_bits(got.hi, hi)
+        assert same_bits(got.lo, [[e.lo for e in row] for row in rows])
+        assert same_bits(got.hi, [[e.hi for e in row] for row in rows])
+        assert same_bits([got.const.lo, got.const.hi], [const.lo, const.hi])
+
+    def test_plus_one_shares_the_lower_endpoints(self):
+        m = make_model(unit_domain(2, 4), [self.ENTRIES[:4], self.ENTRIES[4:]])
+        assert _affine(m, 1.0).lo is m.lo
+
+
+def test_model_arrays_are_read_only():
+    m = make_model(unit_domain(1, 2), [[(0.0, 1.0), (1.0, 2.0)]])
+    with pytest.raises(ValueError):
+        m.lo[0, 0] = 5.0
+    shared = scalar_affine(m, 1.0, 3.0)  # shares m.lo
+    with pytest.raises(ValueError):
+        shared.lo[0, 0] = 5.0
+
+
+def test_margin_past_the_largest_float_raises():
+    near = np.array([[1.0, math.nextafter(1.7976931348623157e308, 0.0)]])
+    with pytest.raises(OverflowError):
+        _steps_arrays(near, ULP_MARGIN, math.inf)
+    with pytest.raises(OverflowError):
+        _steps_arrays(-near, ULP_MARGIN, -math.inf)

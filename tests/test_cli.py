@@ -3,12 +3,13 @@ determinism, exported names."""
 
 import csv
 import math
+import struct
 from pathlib import Path
 
 import pytest
 
 import isarith
-from isarith import bivariate, expr, interval, model, oracle, univariate
+from isarith import bivariate, cli, expr, interval, model, oracle, univariate
 from isarith.cli import (
     RECURSION_DOMAIN,
     RunConfig,
@@ -44,6 +45,22 @@ class TestDomainSpec:
             parse_domain_spec("y1=[0,1]", branches=2)
         with pytest.raises(ValueError):
             parse_domain_spec("", branches=2)
+
+    @pytest.mark.parametrize(
+        "text", ["-0.0", "0.0", "1e-320", ".5", "5.", "-3e-2", " 2.5 ", "1e999", "+1", "0.25*pi"]
+    )
+    def test_endpoint_fast_path_matches_the_parser(self, text):
+        def through_parser():
+            e = expr.parse(text, 0)
+            return e.nodes[e.outputs[0]][1]
+
+        results = []
+        for evaluate in (lambda: cli._const_eval(text), through_parser):
+            try:
+                results.append(struct.pack("<d", evaluate()))
+            except (ValueError, OverflowError) as err:
+                results.append(type(err))
+        assert results[0] == results[1]
 
     def test_repeated_axis(self, capsys):
         with pytest.raises(ValueError, match="axis x1 given twice"):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import is_separable, row
+
 from isarith.bivariate import product_workspace
 from isarith.expr import (
     ArityError,
@@ -199,7 +201,7 @@ class TestEvalIsm:
     def test_variable_leaf(self):
         d = Domain.of([(0, 1)], branches=2)
         m = eval_ism(parse("x1", 1), d)[0]
-        assert m.row(0) == (Interval(0, 0.5), Interval(0.5, 1))
+        assert row(m, 0) == (Interval(0, 0.5), Interval(0.5, 1))
         assert m.const == Interval(0, 0)
 
     def test_separable_sum_diameter_shrinks_with_branching(self):
@@ -234,7 +236,7 @@ class TestEvalIsm:
     def test_separable_chain_keeps_exact_zero_remainders(self):
         d = Domain.of([(0, 10), (0, 20)], branches=100)
         sin2, cos2, prod = eval_ism(parse_vector(["sin(x2)", "cos(x2)", "sin(x2)*cos(x2)"], 2), d)
-        assert sin2.is_separable()
+        assert is_separable(sin2)
         assert product_workspace(sin2, cos2).remainder == 0.0
         assert remainder_bound(Atom.EXP, prod, central_points(Atom.EXP, prod)) == 0.0
 

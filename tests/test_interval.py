@@ -5,10 +5,11 @@ import operator
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_model
+from conftest import hull, make_model, scale, shift
 from isarith.interval import (
     PI,
     PI_HALF,
@@ -17,12 +18,14 @@ from isarith.interval import (
     Interval,
     IntervalError,
     ZeroInDomain,
+    _SPLIT_LIMIT,
     _add_down,
     _add_up,
     _div_down,
     _div_up,
     _mul_down,
     _mul_up,
+    _quotients,
     _steps,
     _sub_up,
 )
@@ -69,7 +72,7 @@ class TestAdd:
         assert ulps_apart(r.lo, r.hi) <= 2
 
     def test_scalar_shift(self):
-        assert Interval(0, 1).shift(5.0) == Interval(5, 6)
+        assert shift(Interval(0, 1), 5.0) == Interval(5, 6)
         assert Interval(0, 1) + 5 == Interval(5, 6)
 
     def test_overflow_raises(self):
@@ -105,11 +108,11 @@ class TestMul:
         assert (Interval(0.0, 1.0) * big).encloses(Interval(0.0, 1.8666640976643918e-50) * big)
 
     def test_scale_flips_for_negative_constant(self):
-        assert Interval(1, 3).scale(-2.0) == Interval(-6, -2)
+        assert scale(Interval(1, 3), -2.0) == Interval(-6, -2)
 
     def test_scale_minus_one_is_exact_negation(self):
         for iv in (Interval(0.1, 0.7), Interval(-3.2, 1e-9), Interval(5.5, 5.5)):
-            assert iv.scale(-1.0) == -iv
+            assert scale(iv, -1.0) == -iv
 
 
 class TestSub:
@@ -210,7 +213,7 @@ class TestPlumbing:
         assert Interval(0, 1).contains(1.0)
 
     def test_hull(self):
-        assert Interval(0, 1).hull(Interval(2, 3)) == Interval(0, 3)
+        assert hull(Interval(0, 1), Interval(2, 3)) == Interval(0, 3)
 
     def test_pi_constants_enclose(self):
         import mpmath
@@ -384,6 +387,48 @@ def test_directed_rounding_is_tight_or_overflows(a, b):
     else:
         assert_tight(inv.lo, recips[0], -1)
         assert_tight(inv.hi, recips[1], 1)
+
+
+def fraction_rounding(a: float, b: float) -> tuple[float, float]:
+    """a / b rounded down and up, decided on the exact quotient."""
+    q = a / b
+    exact, rounded = Fraction(a) / Fraction(b), Fraction(q)
+    down = q if rounded <= exact else math.nextafter(q, -math.inf)
+    up = q if rounded >= exact else math.nextafter(q, math.inf)
+    return down, up
+
+
+def log_uniform_floats(rng, size: int) -> np.ndarray:
+    """Signed floats whose magnitudes spread evenly over the exponent range,
+    subnormals included."""
+    with np.errstate(under="ignore"):
+        mags = rng.uniform(1.0, 10.0, size) * 10.0 ** rng.uniform(-322, 307, size).round()
+    return np.where(rng.random(size) < 0.5, -mags, mags)
+
+
+def test_quotients_match_fraction_rounding():
+    # the exact residual decides the direction; Fraction only where TwoProduct
+    # is untrusted: divisors past the splitting limit, residual products
+    # below 1e-290, subnormal quotients
+    rng = np.random.default_rng(20261018)
+    a, b = log_uniform_floats(rng, 120_000), log_uniform_floats(rng, 120_000)
+    with np.errstate(over="ignore", under="ignore"):
+        keep = np.abs(a / b) < 1e307
+    pairs = list(zip(a[keep].tolist(), b[keep].tolist()))
+    pairs += [(1.0, 7e299), (-3.0, 6.8e299), (1e-300, 3.0), (1e-20, 1e290), (5e-324, 3.0), (1.0, 3.0)]
+    assert len(pairs) >= 100_000
+    assert sum(abs(y) > _SPLIT_LIMIT for _, y in pairs) >= 500
+    assert sum(0.0 < abs(x) < 1e-290 for x, _ in pairs) >= 1000
+    for x, y in pairs:
+        assert (_div_down(x, y), _div_up(x, y)) == fraction_rounding(x, y), (x, y)
+
+    with np.errstate(over="ignore"):
+        divisors = b[np.abs(1.0 / b) < 1e307]
+    assert len(divisors) >= 100_000
+    down, up = _quotients(1.0, divisors)
+    want = np.array([fraction_rounding(1.0, y) for y in divisors.tolist()])
+    assert np.array_equal(down.view(np.uint64), want[:, 0].view(np.uint64))
+    assert np.array_equal(up.view(np.uint64), want[:, 1].view(np.uint64))
 
 
 def test_rounding_past_the_largest_float_raises():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_model
+from conftest import is_separable, make_model, row
 from isarith.interval import Interval
 from isarith.model import Domain, OutOfDomain, init_constant, init_variable
 
@@ -93,8 +93,8 @@ class TestInit:
     def test_variable_rows(self):
         d = Domain.of([(0, 1), (0, 1)], branches=2)
         m = init_variable(d, 0)
-        assert m.row(0) == (Interval(0, 0.5), Interval(0.5, 1))
-        assert m.row(1) == (Interval(0, 0), Interval(0, 0))
+        assert row(m, 0) == (Interval(0, 0.5), Interval(0.5, 1))
+        assert row(m, 1) == (Interval(0, 0), Interval(0, 0))
         assert m.const == Interval(0, 0)
 
     def test_variable_range_is_exact(self):
@@ -190,14 +190,14 @@ class TestEvaluate:
 class TestSeparable:
     def test_trivial_models(self):
         d = Domain.of([(0, 1), (0, 1)], branches=2)
-        assert init_variable(d, 0).is_separable()
-        assert init_variable(d, 1).is_separable()
-        assert init_constant(d, 4.2).is_separable()
+        assert is_separable(init_variable(d, 0))
+        assert is_separable(init_variable(d, 1))
+        assert is_separable(init_constant(d, 4.2))
 
     def test_two_wide_rows(self):
         d = Domain.of([(0, 1), (0, 1)], branches=2)
         m = make_model(d, [[(1, 2), (3, 4)], [(0, 1), (-1, 0)]])
-        assert not m.is_separable()
+        assert not is_separable(m)
 
 
 class TestValidation:

@@ -223,15 +223,39 @@ class TestBlockScan:
         assert enclosure_points < 46**3 / 3
 
         cells = []  # every cell box the way a per-cell loop sums it
+        coeffs = [mdl.coeffs for mdl in models]
         for combo in np.ndindex((branches,) * 3):
             box = []
-            for mdl, c in zip(models, clip):
-                lo = sum((mdl.coeffs[i][j].lo for i, j in enumerate(combo)), mdl.const.lo)
-                hi = sum((mdl.coeffs[i][j].hi for i, j in enumerate(combo)), mdl.const.hi)
+            for mdl, rows, c in zip(models, coeffs, clip):
+                lo = sum((rows[i][j].lo for i, j in enumerate(combo)), mdl.const.lo)
+                hi = sum((rows[i][j].hi for i, j in enumerate(combo)), mdl.const.hi)
                 box.append((max(lo, c.lo), min(hi, c.hi)))
             cells.append(box)
         assert d_isa == _exhaustive(img, cells, 2)
         assert piecewise_points < len(cells) * 8 / 2
+
+
+class TestOverflowingLattice:
+    """A finite enclosure whose width overflows the largest float raises
+    OverflowError before the kd-tree sees a non-finite coordinate."""
+
+    @staticmethod
+    def image():
+        pts = np.random.default_rng(5).uniform(0, 1, size=(200, 2))
+        return ImageSample(pts, (Interval(0, 1), Interval(0, 1)))
+
+    def test_enclosure_box(self, monkeypatch):
+        monkeypatch.setattr(oracle, "cKDTree", None)  # no tree may be built
+        with pytest.raises(OverflowError):
+            hausdorff_enclosure(self.image(), [Interval(-1e308, 1e308), Interval(0, 1)])
+
+    def test_piecewise_cells(self, monkeypatch):
+        monkeypatch.setattr(oracle, "cKDTree", None)
+        d = Domain.of([(0.0, 1.0)], branches=2)
+        wide = make_model(d, [[(-1e308, 1e308), (-1e308, 1e308)]])
+        narrow = make_model(d, [[(0.0, 0.5), (0.5, 1.0)]])
+        with pytest.raises(OverflowError):
+            hausdorff_piecewise(self.image(), [wide, narrow], budget=1000)
 
 
 class TestPiecewiseHausdorff:
