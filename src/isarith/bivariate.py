@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .interval import Interval, _interval_products, _mul_up, _sub_up, _sums_down, _sums_up
+from .interval import Interval, _interval_products, _mul_up, _sub_up, _sums
 from .model import (
     DomainMismatch,
     SuperpositionModel,
@@ -107,9 +107,7 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
 def add_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:
     """Entrywise sum; exact up to outward rounding, no remainder."""
     _same_domain(ma, mb)
-    return SuperpositionModel(
-        ma.domain, _sums_down(ma.lo, mb.lo), _sums_up(ma.hi, mb.hi), ma.const + mb.const
-    )
+    return SuperpositionModel(ma.domain, _sums(ma.bounds, mb.bounds), ma.const + mb.const)
 
 
 def mul_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:
@@ -118,10 +116,8 @@ def mul_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionM
     elsewhere, plus the cross-row remainder on one row."""
     w = product_workspace(ma, mb)
     wide = [i for i in range(ma.dim) if w.radii_a[i] > 0.0 or w.radii_b[i] > 0.0]
-    lo, hi = _interval_products(
-        *_windows(ma, wide, w.centers_a, w.alpha), *_windows(mb, wide, w.centers_b, w.beta)
-    )
-    return _with_remainder(ma, wide, lo, hi, w.alpha * w.beta, w.remainder)
+    windows = _windows(ma, wide, w.centers_a, w.alpha), _windows(mb, wide, w.centers_b, w.beta)
+    return _with_remainder(ma, wide, _interval_products(*windows), w.alpha * w.beta, w.remainder)
 
 
 def sub_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:

@@ -495,29 +495,18 @@ def eval_interval(e: Expr, box: Sequence[Interval]) -> tuple[Interval, ...]:
     return _walk(e, lambda i: box[i], Interval.point, partial(_apply, "iv"))
 
 
-def eval_ism(e: Expr, domain: Domain, memoize: bool = True) -> tuple[SuperpositionModel, ...]:
-    """Propagate superposition models through the DAG.
+def eval_ism(e: Expr, domain: Domain) -> tuple[SuperpositionModel, ...]:
+    """Propagate superposition models through the DAG, each shared node once.
 
     Leaves become trivial variable/constant models; unary nodes go through the
     composition rule, binaries through the addition and product rules, and
-    binaries with a constant operand fold exactly without remainder.  With
-    memoize=False shared nodes are recomputed per use (test hook; the result
-    is identical because every step is deterministic).
+    binaries with a constant operand fold exactly without remainder.
     """
     if domain.dim != e.arity:
         raise ArityError(f"domain has {domain.dim} axes, expression takes {e.arity}")
-    model = partial(_apply, "model")
     # constants stay floats, so the binary rules can fold them; only a
     # constant output becomes a model
-    if memoize:
-        outs = _walk(e, lambda i: init_variable(domain, i), float, model)
-    else:  # every value is a thunk, so a shared node is rebuilt on each use
-        outs = [force() for force in _walk(
-            e,
-            lambda i: lambda: init_variable(domain, i),
-            lambda v: lambda: v,
-            lambda kind, param, *kids: lambda: model(kind, param, *[k() for k in kids]),
-        )]
+    outs = _walk(e, lambda i: init_variable(domain, i), float, partial(_apply, "model"))
     return tuple(init_constant(domain, m) if isinstance(m, float) else m for m in outs)
 
 

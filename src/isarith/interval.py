@@ -354,14 +354,25 @@ class Interval:
 # the same rules over arrays of endpoints
 # ----------------------------------------------------------------------
 #
-# Each function works entrywise on equally shaped float64 arrays (operands,
-# or lower and upper endpoints) and gives every entry the bits of its scalar
-# rule, raising the scalar rule's exception classes.  The error-free
+# The interval rules take and return stacked arrays: index 0 holds the lower
+# endpoints and index 1 the upper ones, and each directed step rounds both
+# halves in one call toward _DIRS.  Every entry gets the bits of its scalar
+# rule, and the scalar rule's exception classes are raised.  The error-free
 # transformations run vectorized (Ogita, Rump & Oishi, SIAM J. Sci. Comput.
 # 2005); transcendental endpoints go through math (libm) as in the scalar
 # rules, since numpy's own kernels differ from it in the last bit; and the
 # scalar min and max keep the first of equal candidates (so -0.0 and 0.0
 # depend on order), which ordered np.where chains reproduce.
+
+#: Signs and rounding directions of the lower and upper halves of a stacked
+#: (2, n, N) array.
+_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+_DIRS = _SIGNS * _INF
+
+
+def _stacked(lo: float, hi: float) -> np.ndarray:
+    """Two endpoints shaped to pair with a stacked (2, n, N) array."""
+    return np.array([[[lo]], [[hi]]], dtype=float)
 
 
 def _finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -370,23 +381,20 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _round_sums(a, b, direction: float) -> np.ndarray:
-    """a + b rounded toward direction (-inf or inf); an overflowing entry is
-    left infinite for the caller to check."""
+def _round_sums(a, b, direction) -> np.ndarray:
+    """a + b rounded toward direction (-inf, inf, or _DIRS); an overflowing
+    entry is left infinite for the caller to check.  An exact sum has a zero
+    error term, and 0 * inf is NaN, which compares False."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = a + b
         bv = s - a
         err = (a - (s - bv)) + (b - bv)
-        wrong = err < 0.0 if direction < 0.0 else err > 0.0
-        return np.where(wrong, np.nextafter(s, direction), s)
+        return np.where(err * direction > 0.0, np.nextafter(s, direction), s)
 
 
-def _sums_down(a, b) -> np.ndarray:
-    return _finite(_round_sums(a, b, -_INF), "sum")
-
-
-def _sums_up(a, b) -> np.ndarray:
-    return _finite(_round_sums(a, b, _INF), "sum")
+def _sums(a, b) -> np.ndarray:
+    """Stacked a + b: the lower half rounded down, the upper half up."""
+    return _finite(_round_sums(a, b, _DIRS), "sum")
 
 
 def _two_prods(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -440,40 +448,44 @@ def _quotients(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return down, up
 
 
-def _interval_products(alo, ahi, blo, bhi) -> tuple[np.ndarray, np.ndarray]:
-    """Interval.__mul__ entrywise: four directed products per entry, their
-    minimum and maximum taken in the scalar rule's order."""
-    shape = (4,) + np.shape(alo)
-    down, up = _products(np.concatenate((alo, alo, ahi, ahi)), np.concatenate((blo, bhi, blo, bhi)))
-    down = _finite(down, "rounding").reshape(shape)
-    up = _finite(up, "rounding").reshape(shape)
+def _outward(down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """The lower half of down stacked on the upper half of up, checked."""
+    return _finite(np.stack((down[0], up[1])), "rounding")
+
+
+def _interval_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Interval.__mul__ entrywise over stacked arrays: four directed products
+    per entry, their minimum and maximum taken in the scalar rule's order."""
+    down, up = _products(a[[0, 0, 1, 1]], b[[0, 1, 0, 1]])
+    down, up = _finite(down, "rounding"), _finite(up, "rounding")
     lo, hi = down[0], up[0]
     for k in (1, 2, 3):
         lo = np.where(down[k] < lo, down[k], lo)
         hi = np.where(up[k] > hi, up[k], hi)
-    return lo, hi
+    return np.stack((lo, hi))
 
 
-def _first(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[float, float]:
+def _first(mask: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Endpoints of the first entry the mask selects, in row-major order."""
     i = int(np.flatnonzero(mask)[0])
-    return float(lo.flat[i]), float(hi.flat[i])
+    return float(b[0].flat[i]), float(b[1].flat[i])
 
 
 def _libm(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _steps_arrays(x: np.ndarray, k: int, direction: float) -> np.ndarray:
+def _steps_arrays(x: np.ndarray, k: int, direction) -> np.ndarray:
     with np.errstate(over="ignore"):
         for _ in range(k):
             x = np.nextafter(x, direction)
     return _finite(x, "rounding")
 
 
-def _reaches(lo: np.ndarray, hi: np.ndarray, limit: float) -> np.ndarray:
+def _reaches(b: np.ndarray, limit: float) -> np.ndarray:
     """Entries as wide as limit: a width past the largest float, or a diam
     (rounded up) of at least limit."""
+    lo, hi = b
     with np.errstate(over="ignore"):
         past = np.isinf(hi - lo)
     diam = _round_sums(hi, -lo, _INF)
@@ -482,7 +494,7 @@ def _reaches(lo: np.ndarray, hi: np.ndarray, limit: float) -> np.ndarray:
     return past | (diam >= limit)
 
 
-def _has_grid_points(lo, hi, offset: float, period: float) -> np.ndarray:
+def _has_grid_points(lo, hi, offset, period: float) -> np.ndarray:
     """_has_grid_point entrywise, with the same float formulas."""
     a = (lo - offset) / period
     b = (hi - offset) / period
@@ -490,77 +502,68 @@ def _has_grid_points(lo, hi, offset: float, period: float) -> np.ndarray:
     return np.ceil(a - tol) <= np.floor(b + tol)
 
 
-def _sqr_arrays(lo, hi):
-    n = len(lo)
+def _sqr_arrays(b):
+    lo, hi = b
     pos = lo >= 0.0
     neg = ~pos & (hi <= 0.0)
     # the endpoint each square is taken of; a zero-spanning entry's lower end
     # squares 0.0, which is the scalar rule's 0.0
-    base_lo = np.where(pos, lo, np.where(neg, hi, 0.0))
-    base_hi = np.where(pos, hi, np.where(neg, lo, np.where(hi > -lo, hi, -lo)))
-    both = np.concatenate((base_lo, base_hi))
-    down, up = _products(both, both)
-    down, up = _finite(down[:n], "rounding"), _finite(up[n:], "rounding")
-    return np.where(down > 0.0, down, 0.0), up
+    base = np.stack((
+        np.where(pos, lo, np.where(neg, hi, 0.0)),
+        np.where(pos, hi, np.where(neg, lo, np.where(hi > -lo, hi, -lo))),
+    ))
+    out = _outward(*_products(base, base))
+    out[0] = np.where(out[0] > 0.0, out[0], 0.0)
+    return out
 
 
-def _inv_arrays(lo, hi):
-    spans = (lo <= 0.0) & (hi >= 0.0)
+def _inv_arrays(b):
+    spans = (b[0] <= 0.0) & (b[1] >= 0.0)
     if spans.any():
-        raise ZeroInDomain("reciprocal of [{}, {}] spans zero".format(*_first(spans, lo, hi)))
-    n = len(lo)
-    down, up = _quotients(1.0, np.concatenate((hi, lo)))
-    return _finite(down[:n], "rounding"), _finite(up[n:], "rounding")
+        raise ZeroInDomain("reciprocal of [{}, {}] spans zero".format(*_first(spans, b)))
+    return _outward(*_quotients(1.0, b[::-1]))
 
 
-def _exp_arrays(lo, hi):
-    down = _steps_arrays(_libm(math.exp, lo), ULP_MARGIN, -_INF)
-    up = _steps_arrays(_libm(math.exp, hi), ULP_MARGIN, _INF)
-    return np.where(down > 0.0, down, 0.0), up
+def _exp_arrays(b):
+    out = _steps_arrays(_libm(math.exp, b), ULP_MARGIN, _DIRS)
+    out[0] = np.where(out[0] > 0.0, out[0], 0.0)
+    return out
 
 
-def _log_arrays(lo, hi):
-    bad = lo <= 0.0
+def _log_arrays(b):
+    bad = b[0] <= 0.0
     if bad.any():
-        raise DomainViolation(
-            "log of [{}, {}] needs a positive lower endpoint".format(*_first(bad, lo, hi))
-        )
-    return (
-        _steps_arrays(_libm(math.log, lo), ULP_MARGIN, -_INF),
-        _steps_arrays(_libm(math.log, hi), ULP_MARGIN, _INF),
-    )
+        raise DomainViolation("log of [{}, {}] needs a positive lower endpoint".format(*_first(bad, b)))
+    return _steps_arrays(_libm(math.log, b), ULP_MARGIN, _DIRS)
 
 
-def _periodic_arrays(lo, hi, f, peak: float, trough: float):
-    full = _reaches(lo, hi, math.tau)
-    vlo, vhi = _libm(f, lo), _libm(f, hi)
-    top = _steps_arrays(np.where(vhi > vlo, vhi, vlo), ULP_MARGIN, _INF)
-    bottom = _steps_arrays(np.where(vhi < vlo, vhi, vlo), ULP_MARGIN, -_INF)
-    top = np.where(_has_grid_points(lo, hi, peak, math.tau), 1.0, np.where(top < 1.0, top, 1.0))
-    bottom = np.where(
-        _has_grid_points(lo, hi, trough, math.tau), -1.0, np.where(bottom > -1.0, bottom, -1.0)
-    )
-    return np.where(full, -1.0, bottom), np.where(full, 1.0, top)
+def _periodic_arrays(b, f, trough: float, peak: float):
+    """Each half is the endpoint value widened and clamped to -1 or 1, or that
+    bound itself where the interval is a full period wide or may hold a
+    minimum (lower half) or maximum (upper half) at trough or peak + 2k*pi."""
+    v = _libm(f, b)
+    lower, upper = np.where(v[1] < v[0], v[1], v[0]), np.where(v[1] > v[0], v[1], v[0])
+    ends = _steps_arrays(np.stack((lower, upper)), ULP_MARGIN, _DIRS)
+    extreme = _reaches(b, math.tau) | _has_grid_points(*b, _stacked(trough, peak), math.tau)
+    return np.where(extreme | (ends * _SIGNS >= 1.0), _SIGNS, ends)
 
 
-def _tan_arrays(lo, hi):
-    poles = _reaches(lo, hi, math.pi) | _has_grid_points(lo, hi, math.pi / 2, math.pi)
+def _tan_arrays(b):
+    poles = _reaches(b, math.pi) | _has_grid_points(*b, math.pi / 2, math.pi)
     if poles.any():
-        raise DomainViolation("tan over [{}, {}] spans a pole".format(*_first(poles, lo, hi)))
-    return (
-        _steps_arrays(_libm(math.tan, lo), ULP_MARGIN, -_INF),
-        _steps_arrays(_libm(math.tan, hi), ULP_MARGIN, _INF),
-    )
+        raise DomainViolation("tan over [{}, {}] spans a pole".format(*_first(poles, b)))
+    return _steps_arrays(_libm(math.tan, b), ULP_MARGIN, _DIRS)
 
 
-#: Array form of each unary Interval method, by method name: (lo, hi) -> (lo, hi).
+#: Array form of each unary Interval method, by method name: stacked in,
+#: stacked out.
 _ARRAY_RULES = {
     "sqr": _sqr_arrays,
     "inv": _inv_arrays,
     "exp": _exp_arrays,
     "log": _log_arrays,
-    "sin": lambda lo, hi: _periodic_arrays(lo, hi, math.sin, math.pi / 2, -math.pi / 2),
-    "cos": lambda lo, hi: _periodic_arrays(lo, hi, math.cos, 0.0, math.pi),
+    "sin": lambda b: _periodic_arrays(b, math.sin, -math.pi / 2, math.pi / 2),
+    "cos": lambda b: _periodic_arrays(b, math.cos, math.pi, 0.0),
     "tan": _tan_arrays,
 }
 

@@ -19,15 +19,19 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .interval import (
+    _INF,
+    _SIGNS,
     _SPLIT_LIMIT,
     Interval,
     IntervalError,
     _add_down,
     _add_up,
+    _finite,
     _interval_products,
+    _round_sums,
+    _stacked,
     _sub_up,
-    _sums_down,
-    _sums_up,
+    _sums,
 )
 
 __all__ = [
@@ -134,31 +138,39 @@ _ZERO = Interval(0.0, 0.0)
 class SuperpositionModel:
     """Interval constant plus an n x N interval coefficient matrix on a Domain.
 
-    The matrix is stored as two read-only (n, N) float64 arrays of lower and
-    upper endpoints, so every rule runs over the whole matrix at once.  The
-    value at a point is ``const`` plus one coefficient per row, 2nN + 2
-    numbers in all.  Constant terms go to ``const`` only, so a row the
-    function does not depend on stays exactly [0, 0] through any chain of
-    operations, and a model that depends on one coordinate stays separable.
+    The matrix is stored as one read-only (2, n, N) float64 array, ``bounds``,
+    whose index 0 holds the lower endpoints and index 1 the upper ones, so
+    every rule runs over the whole matrix and both endpoints at once; ``lo``
+    and ``hi`` are read-only views of the two halves.  The value at a point
+    is ``const`` plus one coefficient per row, 2nN + 2 numbers in all.
+    Constant terms go to ``const`` only, so a row the function does not
+    depend on stays exactly [0, 0] through any chain of operations, and a
+    model that depends on one coordinate stays separable.
     """
 
     domain: Domain
-    lo: np.ndarray
-    hi: np.ndarray
+    bounds: np.ndarray
     const: Interval = _ZERO
 
     def __post_init__(self) -> None:
-        shape = (self.domain.dim, self.domain.branches)
-        for name in ("lo", "hi"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if a.shape != shape:
-                raise ValueError(f"coefficient {name} has shape {a.shape}, domain needs {shape}")
-            a.flags.writeable = False  # rules share matrices between models
-            object.__setattr__(self, name, a)
-        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+        shape = (2, self.domain.dim, self.domain.branches)
+        b = np.asarray(self.bounds, dtype=float)
+        if b.shape != shape:
+            raise ValueError(f"coefficient bounds have shape {b.shape}, domain needs {shape}")
+        b.flags.writeable = False  # rules share matrices between models
+        object.__setattr__(self, "bounds", b)
+        if not np.isfinite(b).all():
             raise IntervalError("non-finite coefficient endpoint")
-        if (self.lo > self.hi).any():
+        if (b[0] > b[1]).any():
             raise IntervalError("inverted coefficient interval")
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.bounds[0]
+
+    @property
+    def hi(self) -> np.ndarray:
+        return self.bounds[1]
 
     @property
     def dim(self) -> int:
@@ -208,19 +220,16 @@ def init_variable(domain: Domain, axis: int) -> SuperpositionModel:
     if not 0 <= axis < domain.dim:
         raise IndexError(f"axis {axis} out of range for dimension {domain.dim}")
     grid = np.array([domain._grid(axis, j) for j in range(domain.branches + 1)])
-    lo = np.zeros((domain.dim, domain.branches))
-    hi = np.zeros((domain.dim, domain.branches))
-    lo[axis] = grid[:-1]
-    hi[axis] = grid[1:]
-    return SuperpositionModel(domain, lo, hi)
+    bounds = np.zeros((2, domain.dim, domain.branches))
+    bounds[:, axis] = grid[:-1], grid[1:]
+    return SuperpositionModel(domain, bounds)
 
 
 def init_constant(domain: Domain, c: float) -> SuperpositionModel:
     """Model of the constant function: [c, c] in the constant, zero rows."""
     if not math.isfinite(c):
         raise ValueError(f"constant must be finite, got {c}")
-    zeros = np.zeros((domain.dim, domain.branches))
-    return SuperpositionModel(domain, zeros, zeros, Interval.point(c))
+    return SuperpositionModel(domain, np.zeros((2, domain.dim, domain.branches)), Interval.point(c))
 
 
 def _affine(
@@ -239,18 +248,15 @@ def _affine(
     c_lo, c_hi = (scale.lo, scale.hi) if isinstance(scale, Interval) else (scale, scale)
     if c_lo == c_hi and abs(c_lo) == 1.0 and _exact_products(m):
         top = np.where(m.hi > m.lo, m.hi, m.lo)
-        if c_lo > 0.0:
-            return SuperpositionModel(m.domain, m.lo, top, const)
-        return SuperpositionModel(m.domain, -top, -m.lo, const)
-    lo, hi = _interval_products(
-        m.lo, m.hi, np.full(m.lo.shape, float(c_lo)), np.full(m.lo.shape, float(c_hi))
-    )
-    return SuperpositionModel(m.domain, lo, hi, const)
+        bounds = np.stack((m.lo, top))
+        return SuperpositionModel(m.domain, bounds if c_lo > 0.0 else -bounds[::-1], const)
+    bounds = _interval_products(m.bounds, np.broadcast_to(_stacked(c_lo, c_hi), m.bounds.shape))
+    return SuperpositionModel(m.domain, bounds, const)
 
 
 def _exact_products(m: SuperpositionModel) -> bool:
     """True when every entry's products with 1 and -1 are trusted exact."""
-    mags = np.abs(np.concatenate((m.lo, m.hi)))
+    mags = np.abs(m.bounds)
     return not ((mags > _SPLIT_LIMIT) | ((mags < 1e-290) & (mags > 0.0))).any()
 
 
@@ -273,42 +279,29 @@ def _midpoints_and_radii(rb: RangeBounds) -> tuple[list[float], list[float]]:
 
 def _windows(
     m: SuperpositionModel, rows: list[int], centers: Sequence[float], omega: Interval
-) -> tuple[np.ndarray, np.ndarray]:
-    """The recentered branch windows (e - a_i) + omega of the given rows, each
-    row i moved by its center a_i."""
-    every = len(rows) == m.dim
+) -> np.ndarray:
+    """The stacked recentered branch windows (e - a_i) + omega of the given
+    rows, each row i moved by its center a_i."""
     a = np.array([centers[i] for i in rows])[:, None]
-    lo = _sums_down(_sums_down(m.lo if every else m.lo[rows], -a), omega.lo)
-    hi = _sums_up(_sums_up(m.hi if every else m.hi[rows], -a), omega.hi)
-    return lo, hi
+    b = m.bounds if len(rows) == m.dim else m.bounds[:, rows]
+    return _sums(_sums(b, -a), _stacked(omega.lo, omega.hi))
 
 
 def _with_remainder(
-    m: SuperpositionModel,
-    rows: list[int],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    const: Interval,
-    r: float,
+    m: SuperpositionModel, rows: list[int], bounds: np.ndarray, const: Interval, r: float
 ) -> SuperpositionModel:
-    """Model on m's domain whose given rows hold lo and hi minus the constant,
-    whose other rows are zero, and which adds a scalar remainder r as [-r, r]
-    to one row: the row whose entries have the largest average diameter,
-    lowest index on ties.  The arrays padded are this function's own."""
-    lo, hi = _sums_down(lo, -const.hi), _sums_up(hi, -const.lo)
+    """Model on m's domain whose given rows hold the stacked bounds minus the
+    constant, whose other rows are zero, and which adds a scalar remainder r
+    as [-r, r] to one row: the row whose entries have the largest average
+    diameter, lowest index on ties.  The array padded is this function's own."""
+    bounds = _sums(bounds, _stacked(-const.hi, -const.lo))
     if len(rows) < m.dim:
-        lo, hi = _scatter(m, rows, lo), _scatter(m, rows, hi)
+        full = np.zeros((2, m.dim, m.branches))
+        full[:, rows] = bounds
+        bounds = full
     if r > 0.0:
-        diams = _sums_up(hi, -lo).tolist()
+        diams = _finite(_round_sums(bounds[1], -bounds[0], _INF), "sum").tolist()
         avg_diam = [sum(row) / len(row) for row in diams]
         k = max(range(len(diams)), key=lambda i: (avg_diam[i], -i))
-        lo[k] = _sums_down(lo[k], -r)
-        hi[k] = _sums_up(hi[k], r)
-    return SuperpositionModel(m.domain, lo, hi, const)
-
-
-def _scatter(m: SuperpositionModel, rows: list[int], values: np.ndarray) -> np.ndarray:
-    """An (n, N) matrix holding the values in the given rows, zero elsewhere."""
-    out = np.zeros((m.dim, m.branches))
-    out[rows] = values
-    return out
+        bounds[:, k : k + 1] = _sums(bounds[:, k : k + 1], r * _SIGNS)
+    return SuperpositionModel(m.domain, bounds, const)

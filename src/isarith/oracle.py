@@ -268,14 +268,12 @@ def hausdorff_piecewise(
     # every cell box at once, in the order of operations of a per-cell loop:
     # the constant, then rows 0..n-1 left to right, then the clip
     combos = np.indices((cap,) * n).reshape(n, -1)
-    lo = np.empty((cells, m))
-    hi = np.empty((cells, m))
+    boxes = np.empty((2, cells, m))
     for c, mdl in enumerate(models):
-        lo[:, c] = mdl.const.lo
-        hi[:, c] = mdl.const.hi
+        boxes[:, :, c] = [[mdl.const.lo], [mdl.const.hi]]
         for i in range(n):
-            lo[:, c] += mdl.lo[i, combos[i]]
-            hi[:, c] += mdl.hi[i, combos[i]]
+            boxes[:, :, c] += mdl.bounds[:, i, combos[i]]
+    lo, hi = boxes
     if clip is not None:
         clip_lo, clip_hi = np.array([(e.lo, e.hi) for e in clip]).T
         lo = np.where(clip_lo > lo, clip_lo, lo)

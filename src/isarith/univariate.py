@@ -105,10 +105,8 @@ def central_points(g: Atom, m: SuperpositionModel, rb: RangeBounds | None = None
         if lo == hi:
             continue
         if g is Atom.EXP:
-            eu, el = math.exp(hi), math.exp(lo)
-            if not math.isfinite(eu):
-                raise OverflowError(f"exp central point overflows on row hull [{lo}, {hi}]")
-            centers[i] = _clamp(math.log(0.5 * (eu + el)), lo, hi)
+            # math.exp raises OverflowError past the largest float
+            centers[i] = _clamp(math.log(0.5 * (math.exp(hi) + math.exp(lo))), lo, hi)
         elif g is Atom.INV:
             if rb.lo + rb.hi == 0.0:
                 raise DomainViolation("reciprocal center undefined: range endpoints cancel")
@@ -251,7 +249,7 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
     and adds the remainder bound to the row with the widest entries.
     """
     if g is Atom.NEG:
-        return SuperpositionModel(m.domain, -m.hi, -m.lo, -m.const)
+        return SuperpositionModel(m.domain, -m.bounds[::-1], -m.const)
 
     rb = m.range_bounds()
     _check_atom_domain(g, rb)
@@ -260,8 +258,8 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
 
     g_omega = getattr(Interval, g.value)(w.omega)  # every atom but NEG names its Interval method
     wide = [i for i, (lo, hi) in enumerate(zip(rb.row_lo, rb.row_hi)) if lo < hi]
-    lo, hi = _ARRAY_RULES[g.value](*_windows(m, wide, w.centers, w.omega))
-    return _with_remainder(m, wide, lo, hi, g_omega, r)
+    bounds = _ARRAY_RULES[g.value](_windows(m, wide, w.centers, w.omega))
+    return _with_remainder(m, wide, bounds, g_omega, r)
 
 
 def sqrt_model(m: SuperpositionModel) -> SuperpositionModel:

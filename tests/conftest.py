@@ -20,9 +20,8 @@ ATOM_NP = {
 
 def make_model(domain, rows, const=(0.0, 0.0)):
     """Model from rows of (lo, hi) pairs and a (lo, hi) constant."""
-    lo = [[float(a) for a, _ in row] for row in rows]
-    hi = [[float(b) for _, b in row] for row in rows]
-    return SuperpositionModel(domain, lo, hi, Interval(*const))
+    bounds = [[[float(e[k]) for e in row] for row in rows] for k in (0, 1)]
+    return SuperpositionModel(domain, bounds, Interval(*const))
 
 
 def row(m, i):

@@ -1,6 +1,7 @@
 """The array model rules against the per-entry scalar rules, bit for bit.
 
-Every model rule runs over whole (n, N) endpoint arrays; `reference.py` holds
+Every model rule runs over one stacked (2, n, N) endpoint array, lower
+endpoints at index 0 and upper ones at index 1; `reference.py` holds
 the same rules one `Interval` at a time.  Each case compares lower and upper
 endpoints and the constant as raw bits, so a -0.0 where the scalar rule gives
 0.0 fails, or requires both to raise the same exception class.
@@ -24,8 +25,7 @@ from isarith.interval import (
     _add_up,
     _interval_products,
     _steps_arrays,
-    _sums_down,
-    _sums_up,
+    _sums,
 )
 from isarith.model import _affine
 from isarith.univariate import Atom, compose, recip_model
@@ -122,7 +122,7 @@ class TestPrimitives:
             shape = (int(rng.integers(1, 4)), int(rng.integers(1, 6)))
             a = [sorted(rng.choice(pool, size=2).tolist()) for _ in range(shape[0] * shape[1])]
             b = [sorted(rng.choice(pool, size=2).tolist()) for _ in range(shape[0] * shape[1])]
-            arrays = [np.array([p[k] for p in x]).reshape(shape) for x in (a, b) for k in (0, 1)]
+            arrays = [np.array([[p[k] for p in x] for k in (0, 1)]).reshape((2,) + shape) for x in (a, b)]
             got = outcome(lambda: _interval_products(*arrays))
             want = outcome(lambda: [Interval(*x) * Interval(*y) for x, y in zip(a, b)])
             assert got[0] == want[0]
@@ -134,14 +134,16 @@ class TestPrimitives:
         rng = np.random.default_rng(102)
         pool = SPECIAL + (1.0, -1.0, 0.1, 0.2, -0.3, 1e308, -1e308)
         for _ in range(200):
-            x = rng.choice(pool, size=(3, 4))
-            y = rng.choice(pool, size=(3, 4))
-            for rounded, scalar in ((_sums_down, _add_down), (_sums_up, _add_up)):
-                got = outcome(lambda: rounded(x, y))
-                want = outcome(lambda: [scalar(a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())])
-                assert got[0] == want[0]
-                if got[0] == "ok":
-                    assert same_bits(got[1].ravel(), want[1])
+            x = rng.choice(pool, size=(2, 3, 4))
+            y = rng.choice(pool, size=(2, 3, 4))
+            got = outcome(lambda: _sums(x, y))
+            want = outcome(lambda: [
+                scalar(a, b) for half, scalar in zip((0, 1), (_add_down, _add_up))
+                for a, b in zip(x[half].ravel().tolist(), y[half].ravel().tolist())
+            ])
+            assert got[0] == want[0]
+            if got[0] == "ok":
+                assert same_bits(got[1].ravel(), want[1])
 
     @pytest.mark.parametrize("name", sorted(_ARRAY_RULES))
     def test_unary_rules_match_interval_methods(self, name):
@@ -157,9 +159,8 @@ class TestPrimitives:
             else:
                 values = pool if name != "tan" else tan_pool
                 pairs = [sorted(float(v) for v in rng.choice(values, size=2)) for _ in range(6)]
-            lo = np.array([p[0] for p in pairs]).reshape(2, 3)
-            hi = np.array([p[1] for p in pairs]).reshape(2, 3)
-            got = outcome(lambda: _ARRAY_RULES[name](lo, hi))
+            bounds = np.array([[p[k] for p in pairs] for k in (0, 1)]).reshape(2, 2, 3)
+            got = outcome(lambda: _ARRAY_RULES[name](bounds))
             want = [outcome(lambda: getattr(Interval(*p), name)()) for p in pairs]
             raised = {w[1] for w in want if w[0] == "raise"}
             if raised:
@@ -252,25 +253,32 @@ class TestUnitScale:
         m = make_model(unit_domain(2, 4), [self.ENTRIES[:4], self.ENTRIES[4:]], const=(-0.0, 0.0))
         got = _affine(m, c)
         rows, const = reference.affine(m, c)
-        full = [np.full(m.lo.shape, float(v)) for v in ((c, c) if isinstance(c, float) else (c.lo, c.hi))]
-        lo, hi = _interval_products(m.lo, m.hi, *full)
-        assert same_bits(got.lo, lo) and same_bits(got.hi, hi)
+        ends = (c, c) if isinstance(c, float) else (c.lo, c.hi)
+        full = np.stack([np.full(m.lo.shape, float(v)) for v in ends])
+        assert same_bits(got.bounds, _interval_products(m.bounds, full))
         assert same_bits(got.lo, [[e.lo for e in row] for row in rows])
         assert same_bits(got.hi, [[e.hi for e in row] for row in rows])
         assert same_bits([got.const.lo, got.const.hi], [const.lo, const.hi])
-
-    def test_plus_one_shares_the_lower_endpoints(self):
-        m = make_model(unit_domain(2, 4), [self.ENTRIES[:4], self.ENTRIES[4:]])
-        assert _affine(m, 1.0).lo is m.lo
 
 
 def test_model_arrays_are_read_only():
     m = make_model(unit_domain(1, 2), [[(0.0, 1.0), (1.0, 2.0)]])
     with pytest.raises(ValueError):
         m.lo[0, 0] = 5.0
-    shared = scalar_affine(m, 1.0, 3.0)  # shares m.lo
     with pytest.raises(ValueError):
-        shared.lo[0, 0] = 5.0
+        m.bounds[1, 0, 1] = 5.0
+    shifted = scalar_affine(m, 1.0, 3.0)
+    with pytest.raises(ValueError):
+        shifted.hi[0, 0] = 5.0
+
+
+def test_exp_lower_endpoint_clamps_at_zero():
+    # exp of an endpoint below about -745 is 0.0, and its margin steps go negative
+    pairs = [(-800.0, -700.0), (-745.0, 0.0), (-1e300, -744.5), (-746.0, -745.5)]
+    got = _ARRAY_RULES["exp"](np.array([[[p[k] for p in pairs]] for k in (0, 1)]))
+    want = [Interval(*p).exp() for p in pairs]
+    assert same_bits(got[0].ravel(), [w.lo for w in want])
+    assert same_bits(got[1].ravel(), [w.hi for w in want])
 
 
 def test_margin_past_the_largest_float_raises():

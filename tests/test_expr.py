@@ -247,10 +247,16 @@ class TestEvalIsm:
         assert "node" in str(err.value)
 
     def test_memoization_transparency(self):
+        # the shared DAG against a hand-built one that repeats x1+x2 as
+        # separate nodes, each evaluated on its own
         e = parse("(x1+x2)*(x1+x2)+sin(x1+x2)", 2)
+        s = ("bin", "add", 0, 1)
+        nodes = (("var", 0), ("var", 1), s, s, ("bin", "mul", 2, 3), s, ("un", "sin", 5))
+        repeated = Expr(nodes + (("bin", "add", 4, 6),), (7,), 2)
+        assert len(e.nodes) < len(repeated.nodes)
         d = Domain.of([(0, 1), (0, 1)], branches=3)
-        with_memo = eval_ism(e, d, memoize=True)[0].range_bounds()
-        without = eval_ism(e, d, memoize=False)[0].range_bounds()
+        with_memo = eval_ism(e, d)[0].range_bounds()
+        without = eval_ism(repeated, d)[0].range_bounds()
         assert (with_memo.lo, with_memo.hi) == (without.lo, without.hi)
 
     def test_point_membership_consistency(self):

@@ -41,6 +41,10 @@ class TestCentralPoints:
         assert abs(w.centers[0] - expected) < 1e-12
         assert w.omega.contains(w.centers[0])
 
+    def test_exp_center_past_the_largest_float_raises(self):
+        with pytest.raises(OverflowError):
+            central_points(Atom.EXP, make_model(unit_domain(1, 1), [[(0.0, 709.8)]]))
+
     def test_midpoint_atoms(self):
         m = make_model(unit_domain(1, 1), [[(0.0, 1.0)]])
         for atom in (Atom.SQR, Atom.SIN, Atom.COS, Atom.LOG, Atom.TAN, Atom.NEG):
