@@ -75,7 +75,8 @@ def _same_domain(ma: SuperpositionModel, mb: SuperpositionModel) -> None:
 def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> ProductWorkspace:
     _same_domain(ma, mb)
     n = ma.dim
-    rba, rbx = ma.range_bounds(), mb.range_bounds()
+    rba = ma.range_bounds()
+    rbx = rba if mb is ma else mb.range_bounds()  # a square (x*x) is bounded once
     ca, ra = _midpoints_and_radii(rba)
     cb, rbb = _midpoints_and_radii(rbx)
 

@@ -473,19 +473,30 @@ def eval_point(e: Expr, x: Sequence[float]) -> tuple[float, ...]:
     return _walk(e, lambda i: float(x[i]), float, partial(_apply, "fl"), math.isfinite)
 
 
-def eval_points(e: Expr, xs: np.ndarray) -> np.ndarray:
+def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     """Vectorized eval_point over an (m, arity) array; returns (m, outputs).
 
-    Raises the same domain errors as eval_point when any row violates them.
+    xs may also be a tuple of one array per variable that broadcast together,
+    for the points of the broadcast shape in C order.  A node is computed on
+    the broadcast of the arrays it reads: on an open grid, once per point of
+    the sub-lattice of the axes it depends on.
+
+    Raises the same domain errors as eval_point when any point violates them.
     Intermediate arrays are freed as soon as their last consumer has run.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != e.arity:
-        raise ArityError(f"expected an (m, {e.arity}) array, got {xs.shape}")
-    m = xs.shape[0]
-    outs = _walk(e, lambda i: xs[:, i], lambda v: np.full(m, v), partial(_apply, "np"),
+    if isinstance(xs, tuple):
+        if len(xs) != e.arity:
+            raise ArityError(f"got {len(xs)} coordinate arrays, expression takes {e.arity}")
+        coords = tuple(np.asarray(x, dtype=float) for x in xs)
+        shape = np.broadcast_shapes(*(x.shape for x in coords))
+    else:
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != e.arity:
+            raise ArityError(f"expected an (m, {e.arity}) array, got {xs.shape}")
+        coords, shape = xs.T, xs.shape[:1]
+    outs = _walk(e, coords.__getitem__, float, partial(_apply, "np"),
                  lambda v: np.isfinite(v).all())
-    return np.column_stack(outs)
+    return np.stack([np.broadcast_to(v, shape) for v in outs], axis=-1).reshape(-1, len(outs))
 
 
 def eval_interval(e: Expr, box: Sequence[Interval]) -> tuple[Interval, ...]:

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
+#: most lattice points the enclosure scan queries in one batch
 _CHUNK = 1 << 16
 #: index blocks per axis that the enclosure scan cuts its lattice into
 _BLOCKS_PER_AXIS = 8
@@ -66,11 +67,6 @@ class ImageSample:
             # to a hundred times slower; the nearest distances are the same
             self._tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
         return self._tree
-
-
-def _evaluate_chunked(e: Expr, xs: np.ndarray) -> np.ndarray:
-    parts = [eval_points(e, xs[i : i + _CHUNK]) for i in range(0, len(xs), _CHUNK)]
-    return np.concatenate(parts, axis=0)
 
 
 def _grid_per_axis(budget: int, n: int) -> int:
@@ -109,13 +105,6 @@ def _block_points(coords: np.ndarray) -> np.ndarray:
     return points.reshape(blocks, -1, m)
 
 
-def _lattice(bounds: Sequence[tuple[float, float]], per_axis: int) -> np.ndarray:
-    """The (per_axis**n, n) array of lattice points over the box with the
-    given (lo, hi) axes, corners included, first axis slowest."""
-    lo, hi = np.array(bounds, dtype=float).T
-    return _block_points(_linspace(lo, hi, per_axis)[None])[0]
-
-
 def sample_image(
     e: Expr,
     box: Sequence[Interval],
@@ -124,7 +113,11 @@ def sample_image(
     budget: int = DEFAULT_BUDGET,
 ) -> ImageSample:
     """Evaluate the expression on a lattice over the box, corners included,
-    with `grid` points per axis (by default the most the budget holds)."""
+    with `grid` points per axis (by default the most the budget holds).
+
+    `eval_points` gets the lattice as an open grid, so each node runs once per
+    point of the sub-lattice of the axes it reads; the points are still the
+    dense lattice's values, first axis slowest."""
     n = len(box)
     if grid is None:
         grid = _grid_per_axis(budget, n)
@@ -132,11 +125,10 @@ def sample_image(
         raise ValueError(f"grid needs at least 2 points per axis, got {grid}")
     if grid**n > budget:
         raise BudgetExceeded(f"{grid}^{n} lattice points exceed the budget {budget}")
-    values = _evaluate_chunked(e, _lattice([(b.lo, b.hi) for b in box], grid))
-    hull = tuple(
-        Interval(float(values[:, j].min()), float(values[:, j].max()))
-        for j in range(values.shape[1])
-    )
+    lo, hi = np.array([(b.lo, b.hi) for b in box], dtype=float).T
+    axes = np.meshgrid(*_linspace(lo, hi, grid), indexing="ij", sparse=True)
+    values = eval_points(e, tuple(axes))
+    hull = tuple(Interval(float(v.min()), float(v.max())) for v in values.T)
     return ImageSample(values, hull)
 
 
@@ -340,11 +332,6 @@ def remainder_violation_search(
     center_term = (n - 1) * fn(omega)
     total_term = fn(omega + deltas.sum(axis=1))
     defects = np.abs(spread_terms.sum(axis=1) - center_term - total_term)
-    scale = max(
-        float(np.abs(spread_terms).max()),
-        abs(center_term),
-        float(np.abs(total_term).max()),
-        1e-30,
-    )
+    scale = max(np.abs(spread_terms).max(), abs(center_term), np.abs(total_term).max(), 1e-30)
     resolution = 4.0 * (n + 2) * np.finfo(float).eps * scale
     return float(defects.max() - resolution) - r

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from isarith import oracle
 from isarith.interval import Interval
 from isarith.model import Domain, SuperpositionModel
 from isarith.univariate import Atom
@@ -16,6 +17,14 @@ ATOM_NP = {
     Atom.COS: np.cos,
     Atom.TAN: np.tan,
 }
+
+
+def lattice(bounds, per_axis):
+    """The dense (per_axis**n, n) array of lattice points over the box with
+    the given (lo, hi) axes, corners included, first axis slowest: the
+    reference the oracle's open-grid sampling and block scans must match."""
+    lo, hi = np.array(bounds, dtype=float).T
+    return oracle._block_points(oracle._linspace(lo, hi, per_axis)[None])[0]
 
 
 def make_model(domain, rows, const=(0.0, 0.0)):

@@ -109,6 +109,11 @@ class TestParse:
             parse("x3", arity=2)
         with pytest.raises(ArityError):
             parse("x0", arity=2)
+        e = parse("x1+x2", arity=2)
+        with pytest.raises(ArityError):
+            eval_points(e, np.zeros((4, 3)))
+        with pytest.raises(ArityError):
+            eval_points(e, (np.zeros(4),))
 
     def test_vector_outputs_share_nodes(self):
         e = parse_vector(["x1+x2", "x1*x2"], arity=2)

@@ -1,16 +1,17 @@
 """Sampling oracle, overestimation distance, brute-force checkers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from conftest import make_model, random_model_for_atom, random_separable_model, unit_domain
+from conftest import lattice, make_model, random_model_for_atom, random_separable_model, unit_domain
 from isarith import cli, oracle
-from isarith.expr import eval_interval, eval_ism, parse, parse_vector, self_compose
-from isarith.interval import Interval
+from isarith.expr import eval_interval, eval_ism, eval_points, parse, parse_vector, self_compose
+from isarith.interval import DomainViolation, Interval
 from isarith.model import Domain, init_variable
 from isarith.oracle import (
     BudgetExceeded,
@@ -61,11 +62,9 @@ class TestSampleImage:
         ([(0.0, 1.0)] * 4, 2),
     ])
     def test_lattice_matches_dense_meshgrid(self, bounds, per_axis):
-        from isarith.oracle import _lattice
-
         axes = [np.linspace(lo, hi, per_axis) for lo, hi in bounds]
         dense = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-        assert np.array_equal(_lattice(bounds, per_axis), dense)
+        assert np.array_equal(lattice(bounds, per_axis), dense)
 
     def test_linspace_matches_scalar_linspace_per_row(self):
         # zero-width rows next to wide ones: np.linspace given these arrays
@@ -86,6 +85,65 @@ class TestSampleImage:
         coarse = sample_image(e, box, grid=20).per_axis_hull[0]
         fine = sample_image(e, box, grid=39).per_axis_hull[0]  # nested lattice
         assert fine.encloses(coarse)
+
+
+#: every row of the op table: neg sqr inv exp log sin cos tan cot sqrt ^k / + - *
+_EVERY_OP = "-sqr(x1) + inv(x2)*exp(x3) - log(x1+x2)/sin(x2) + cos(x1*x3)*tan(x2) - cot(x1) + sqrt(x3)^3"
+
+
+def _dense_points(e, box, k):
+    """The expression on every point of the dense lattice, row by row."""
+    return eval_points(e, lattice([(b.lo, b.hi) for b in box], k))
+
+
+class TestOpenGrid:
+    """sample_image hands eval_points one coordinate array per axis, so each
+    node runs on the sub-lattice of the axes it reads; its points must be the
+    dense lattice's, byte for byte, and it must fail where that fails."""
+
+    @pytest.mark.parametrize("texts, box, k", [
+        ([_EVERY_OP], [Interval(0.5, 1.0), Interval(0.2, 0.9), Interval(1.0, 2.0)], 9),
+        ([cli.SHOWCASE_EXPR], [Interval(0.0, 1.0), Interval(0.0, 5.0)], 300),
+        # outputs that read different subsets of the axes
+        (["x2", "sin(x1)", "x1*x3"], [Interval(-1.0, 1.0), Interval(0.0, 2.0), Interval(3.0, 4.0)], 11),
+        (["x1", "2.5"], [Interval(0.0, 1.0)] * 2, 5),
+        ([cli.SHOWCASE_EXPR], [Interval(0.0, 1.0), Interval(0.7, 0.7)], 50),
+    ])
+    def test_points_equal_the_dense_lattice(self, texts, box, k):
+        e = parse_vector(texts, len(box))
+        got, want = sample_image(e, box, grid=k).points, _dense_points(e, box, k)
+        assert got.shape == want.shape == (k ** len(box), len(texts))
+        assert got.tobytes() == want.tobytes()
+
+    def test_recursion_map_self_composed(self):
+        e = self_compose(parse_vector(cli.RECURSION_TEXTS, 3), 3)
+        box = cli.parse_domain_spec(cli.RECURSION_DOMAIN, 1).boxes
+        assert sample_image(e, box, grid=20).points.tobytes() == _dense_points(e, box, 20).tobytes()
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("log(x1-0.5)", DomainViolation, r"^node \d+ \(un\): log of a non-positive value$"),
+        ("exp(1000*x1)", OverflowError, "^intermediate value overflowed$"),
+    ])
+    def test_errors_match_the_dense_lattice(self, text, error, message):
+        e, box = parse(text, 1), [Interval(0.0, 1.0)]
+        with np.errstate(over="ignore"), pytest.raises(error, match=message) as dense:
+            _dense_points(e, box, 11)
+        with np.errstate(over="ignore"), pytest.raises(error, match=message) as grid:
+            sample_image(e, box, grid=11)
+        assert str(grid.value) == str(dense.value)
+
+    def test_peak_memory_within_three_results(self):
+        # the showcase at the default budget: only its last two nodes run on
+        # the full lattice, so the peak stays near the (10^6, 1) result
+        e = parse(cli.SHOWCASE_EXPR, 2)
+        tracemalloc.start()
+        try:
+            img = sample_image(e, [Interval(0.0, 1.0), Interval(0.0, 5.0)], budget=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert img.points.shape == (10**6, 1)
+        assert peak <= 3 * img.points.nbytes
 
 
 class TestHausdorff:
@@ -137,7 +195,7 @@ def _exhaustive(img, bounds, per_axis):
     """The per-point scan the block scan must reproduce: every lattice point
     of every box queried, the largest distance kept."""
     tree = cKDTree(img.points)
-    points = np.concatenate([oracle._lattice(b, per_axis) for b in bounds])
+    points = np.concatenate([lattice(b, per_axis) for b in bounds])
     return max(0.0, float(tree.query(points, k=1, p=np.inf)[0].max()))
 
 
@@ -154,9 +212,9 @@ def _scan_cases(draw):
     blocks = draw(st.integers(1, 6))
     lo = np.array([[offset + draw(unit) * scale for _ in range(m)] for _ in range(blocks)])
     hi = lo + np.array([[draw(width) * scale for _ in range(m)] for _ in range(blocks)])
-    lattice = np.concatenate([oracle._lattice(list(zip(a, b)), k) for a, b in zip(lo, hi)])
+    on_blocks = np.concatenate([lattice(list(zip(a, b)), k) for a, b in zip(lo, hi)])
     points = np.array([
-        lattice[draw(st.integers(0, len(lattice) - 1))]
+        on_blocks[draw(st.integers(0, len(on_blocks) - 1))]
         if draw(st.booleans())
         else np.array([offset + 1.5 * draw(unit) * scale for _ in range(m)])
         for _ in range(draw(st.integers(1, 12)))
