@@ -76,7 +76,7 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
     _same_domain(ma, mb)
     n = ma.dim
     rba = ma.range_bounds()
-    rbx = rba if mb is ma else mb.range_bounds()  # a square (x*x) is bounded once
+    rbx = mb.range_bounds()
     ca, ra = _midpoints_and_radii(rba)
     cb, rbb = _midpoints_and_radii(rbx)
 

@@ -13,7 +13,7 @@ function does not depend on is exactly [0, 0] in every branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -151,6 +151,7 @@ class SuperpositionModel:
     domain: Domain
     bounds: np.ndarray
     const: Interval = _ZERO
+    _range: RangeBounds | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         shape = (2, self.domain.dim, self.domain.branches)
@@ -190,16 +191,19 @@ class SuperpositionModel:
 
     def range_bounds(self) -> RangeBounds:
         """Exact model range via per-row extrema (outward-rounded sums); each
-        extremum is the first of equal values in its row, as min and max pick."""
-        rows = np.arange(self.dim)
-        row_lo = tuple(self.lo[rows, self.lo.argmin(axis=1)].tolist())
-        row_hi = tuple(self.hi[rows, self.hi.argmax(axis=1)].tolist())
-        lo = self.const.lo
-        hi = self.const.hi
-        for a, b in zip(row_lo, row_hi):
-            lo = _add_down(lo, a)
-            hi = _add_up(hi, b)
-        return RangeBounds(lo, hi, row_lo, row_hi)
+        extremum is the first of equal values in its row, as min and max pick.
+        Computed on the first call and kept: the matrix is read-only."""
+        if self._range is None:
+            rows = np.arange(self.dim)
+            row_lo = tuple(self.lo[rows, self.lo.argmin(axis=1)].tolist())
+            row_hi = tuple(self.hi[rows, self.hi.argmax(axis=1)].tolist())
+            lo = self.const.lo
+            hi = self.const.hi
+            for a, b in zip(row_lo, row_hi):
+                lo = _add_down(lo, a)
+                hi = _add_up(hi, b)
+            object.__setattr__(self, "_range", RangeBounds(lo, hi, row_lo, row_hi))
+        return self._range
 
     def evaluate(self, x: Sequence[float]) -> Interval:
         """Interval value at a point: the constant plus the branch-selected

@@ -141,8 +141,11 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     max norm, so no point of a block lies farther than the block's midpoint
     distance plus its max-norm reach from the midpoint.  Blocks are scanned by
     falling bound, in batches that start at one block and double, and the scan
-    stops once no bound left exceeds the maximum found; the skipped points
-    cannot raise it, so the result is the exhaustive scan's to the last bit.
+    stops once no bound left exceeds the maximum found.  Within a batch, each
+    point is bounded by its distance to the sample nearest its block's
+    midpoint, and only the distinct points whose bound exceeds the maximum
+    are queried.  The skipped points cannot raise it, so the result is the
+    exhaustive scan's to the last bit.
     """
     # finite coordinates keep every midpoint and reach below the largest float
     if not np.isfinite(coords).all():
@@ -152,7 +155,7 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     lo, hi = coords.min(axis=2), coords.max(axis=2)
     mid = 0.5 * lo + 0.5 * hi
     reach = np.maximum(hi - mid, mid - lo).max(axis=1)
-    near, _ = tree.query(mid, k=1, p=np.inf)
+    near, nearest = tree.query(mid, k=1, p=np.inf)
     bound = near + reach
     # A computed distance max_i |x_i - s_i| carries one rounding, so it lies
     # within a factor 1 +- eps/2 of the exact distance, and the rounded reach
@@ -161,15 +164,27 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     # (1 + 2 eps) times the block's computed bound.  The slack takes 16 eps of
     # the bound instead, plus 16 eps of the largest coordinate as a margin for
     # the rounding inside the kd-tree's search.
-    bound += 16 * np.finfo(float).eps * (np.abs(coords).max(axis=(1, 2)) + bound)
+    slack = 16 * np.finfo(float).eps
+    scale = np.abs(coords).max(axis=(1, 2))
+    bound += slack * (scale + bound)
     order = np.argsort(-bound, kind="stable")
     most = max(1, _CHUNK // k**m)
     worst, start, size = 0.0, 0, 1
     while start < blocks and bound[order[start]] > worst:
         batch = order[start : start + size]
         batch = batch[bound[batch] > worst]
-        dists, _ = tree.query(_block_points(coords[batch]).reshape(-1, m), k=1, p=np.inf)
-        worst = max(worst, float(dists.max()))
+        points = _block_points(coords[batch])
+        # Each point's distance to the sample nearest its block's midpoint, by
+        # the tree's own formula and rounding: the tree returns the least such
+        # value over all samples, so never more than this one, up to the
+        # rounding in its search that the slack covers.  A point whose padded
+        # bound is at most the maximum cannot raise it, and a repeated point (a
+        # zero-width axis, an edge block) cannot change a maximum either.
+        ub = np.abs(points - img.points[nearest[batch], None]).max(axis=2)
+        points = points[ub + slack * (scale[batch, None] + ub) > worst]
+        if len(points):
+            dists, _ = tree.query(np.unique(points, axis=0), k=1, p=np.inf)
+            worst = max(worst, float(dists.max()))
         start += size
         size = min(2 * size, most)
     return worst

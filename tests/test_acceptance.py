@@ -265,6 +265,52 @@ def test_c5_remainder_bounds_hold_under_search():
     assert exact_univariate and exact_product
 
 
+def test_c5_worst_draws_hold_in_exact_arithmetic():
+    # c5's first 30 models per atom and the offsets remainder_violation_search
+    # draws for them (same generators, same seeds): the 20 draws with the
+    # largest float64 defects, recomputed at 40 digits with no resolution
+    # discount, stay within the remainder bound
+    import itertools
+
+    import mpmath
+
+    from isarith.expr import _OPS
+
+    exact = {Atom.NEG: lambda x: -x, Atom.SQR: lambda x: x * x, Atom.INV: lambda x: 1 / x}
+    start = time.perf_counter()
+    rng = np.random.default_rng(SEED + 1)
+    worst = {}
+    with mpmath.workdps(40):
+        for atom in Atom:
+            g = exact.get(atom) or getattr(mpmath, atom.value)
+            models = [random_model_for_atom(rng, atom, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+                      for _ in range(100)]
+            for trial, m in enumerate(models[:30]):
+                rb = m.range_bounds()
+                w = central_points(atom, m, rb)
+                r = remainder_bound(atom, m, w, rb)
+                lo = np.array([l - a for l, a in zip(rb.row_lo, w.centers)])
+                hi = np.array([h - a for h, a in zip(rb.row_hi, w.centers)])
+                draws = np.random.default_rng(SEED + trial).uniform(lo, hi, size=(10_000, m.dim))
+                corners = np.array(list(itertools.product(*zip(lo, hi))))
+                deltas = np.vstack([draws, corners, np.zeros((1, m.dim))])
+                fn, omega = _OPS[atom.value].np, w.omega.mid
+                defects = np.abs(fn(omega + deltas).sum(axis=1) - (m.dim - 1) * fn(omega)
+                                 - fn(omega + deltas.sum(axis=1)))
+                om = mpmath.mpf(omega)
+                for d in deltas[np.argsort(defects)[-20:]]:
+                    ds = [mpmath.mpf(float(x)) for x in d]
+                    defect = abs(mpmath.fsum(g(om + x) for x in ds) - (m.dim - 1) * g(om)
+                                 - g(om + mpmath.fsum(ds)))
+                    worst[atom] = max(worst.get(atom, -math.inf), float(defect - r))
+    elapsed = time.perf_counter() - start
+    ok = all(gap <= 0.0 for gap in worst.values())
+    _report("criterion 5, exact", ok,
+            "240 models x 20 worst draws at 40 digits, worst gap per atom "
+            + ", ".join(f"{a.value} {gap:.3g}" for a, gap in worst.items()) + f", {elapsed:.1f}s")
+    assert ok, worst
+
+
 def test_c6_range_bounder_matches_brute_force():
     rng = np.random.default_rng(SEED + 2)
     worst_ulps = 0

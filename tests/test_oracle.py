@@ -251,8 +251,10 @@ class TestBlockScan:
         blocks = oracle._linspace(corner_lo, corner_hi, 2)
         assert oracle._farthest(img, blocks) == hi - s0
 
-    def test_recursion_map_prunes_and_stays_exact(self, monkeypatch):
-        # depth 1 of run_recursion on a 10^5 grid, its scan budget included
+    @staticmethod
+    def depth_one(monkeypatch):
+        """Depth 1 of run_recursion on a 10^5 grid, its scan budget included:
+        the image, the boxes, both distances and the points each scan queried."""
         grid_budget, branches = 10**5, 20
         scan_budget = min(grid_budget, 200_000)
         base = parse_vector(cli.RECURSION_TEXTS, 3)
@@ -264,18 +266,19 @@ class TestBlockScan:
         img = sample_image(self_compose(base, 1), domain0.boxes, budget=grid_budget)
 
         queried = []
-
-        class CountingTree(cKDTree):
-            def query(self, x, *args, **kwargs):
-                queried.append(len(x))
-                return super().query(x, *args, **kwargs)
-
-        monkeypatch.setattr(oracle, "cKDTree", CountingTree)
+        monkeypatch.setattr(oracle, "cKDTree", _counting_tree(queried))
         d_ia = hausdorff_enclosure(img, ia_boxes, budget=scan_budget)
-        enclosure_points, queried[:] = sum(queried), []
+        enclosure_points, queried[:] = sum(map(len, queried)), []
         d_isa = hausdorff_piecewise(img, models, clip=clip, budget=scan_budget)
-        piecewise_points = sum(queried)
+        piecewise_points = sum(map(len, queried))
         monkeypatch.undo()
+        return img, models, clip, ia_boxes, d_ia, d_isa, enclosure_points, piecewise_points
+
+    def test_recursion_map_prunes_and_stays_exact(self, monkeypatch):
+        img, models, clip, ia_boxes, d_ia, d_isa, enclosure_points, piecewise_points = (
+            self.depth_one(monkeypatch)
+        )
+        branches = models[0].branches
 
         assert d_ia == _exhaustive(img, [[(b.lo, b.hi) for b in ia_boxes]], 46)
         assert enclosure_points < 46**3 / 3
@@ -291,6 +294,80 @@ class TestBlockScan:
             cells.append(box)
         assert d_isa == _exhaustive(img, cells, 2)
         assert piecewise_points < len(cells) * 8 / 2
+
+    def test_recursion_map_skips_points_bounded_by_a_known_sample(self, monkeypatch):
+        # the far face of the enclosure box lies parallel to the near-planar
+        # image, so block bounds alone query it in full (12,608 points, and
+        # 27,520 on the cells); the per-point bound skips it
+        *_, enclosure_points, piecewise_points = self.depth_one(monkeypatch)
+        assert enclosure_points < 46**3 / 30
+        assert piecewise_points < 20**3 * 8 / 4
+
+
+def _counting_tree(queried):
+    """cKDTree whose queries append their points to the list."""
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(np.array(x))
+            return super().query(x, *args, **kwargs)
+
+    return CountingTree
+
+
+class TestPointBound:
+    """The per-point bound and the dropped repeats keep the scan exact where
+    many points tie at the maximum and where every point repeats."""
+
+    def test_far_face_parallel_to_a_planar_image(self, monkeypatch):
+        # the image is the plane x3 = 0.1; every point of the face x3 = 1.3
+        # is 1.2 from it up to rounding, so the maximum is tied many times
+        xy = lattice([(0.0, 1.0), (-0.5, 0.7)], 9)
+        img = ImageSample(np.column_stack([xy, np.full(len(xy), 0.1)]),
+                          (Interval(0.0, 1.0), Interval(-0.5, 0.7), Interval(0.1, 0.1)))
+        box = [(-0.05, 1.0), (-0.5, 0.75), (0.1, 1.3)]
+        queried = []
+        monkeypatch.setattr(oracle, "cKDTree", _counting_tree(queried))
+        got = hausdorff_enclosure(img, [Interval(*b) for b in box], budget=24**3)
+        monkeypatch.undo()
+        assert got == _exhaustive(img, [box], 24)
+        assert sum(map(len, queried[1:])) < 24**3
+
+    def test_zero_width_enclosure_axis_queries_each_point_once(self, monkeypatch):
+        # a third axis of zero width repeats every point of the lattice 24
+        # times, as the recursion map's enclosure boxes do from depth 2; a
+        # query holds each point once, and the scan queries fewer points than
+        # the lattice holds distinct ones (an identical block in a later
+        # batch may query its points again)
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(0.0, 1.0, (300, 2)), np.full(300, 0.008)])
+        img = ImageSample(pts, tuple(Interval(float(c.min()), float(c.max())) for c in pts.T))
+        box = [(-0.3, 1.2), (0.0, 1.6), (0.008, 0.008)]
+        queried = []
+        monkeypatch.setattr(oracle, "cKDTree", _counting_tree(queried))
+        got = hausdorff_enclosure(img, [Interval(*b) for b in box], budget=24**3)
+        monkeypatch.undo()
+        assert got == _exhaustive(img, [box], 24)
+        scans = queried[1:]  # the first query holds the block midpoints
+        assert all(len(q) == len(np.unique(q, axis=0)) for q in scans)
+        assert sum(map(len, scans)) < 24**2
+
+    def test_piecewise_cells_with_a_zero_width_axis(self, monkeypatch):
+        # two wide outputs and a constant one: every cell box is flat
+        d = Domain.of([(0.0, 1.0), (0.0, 2.0)], branches=4)
+        x1, x2 = init_variable(d, 0), init_variable(d, 1)
+        flat = make_model(d, [[(0.0, 0.0)] * 4] * 2, const=(0.25, 0.25))
+        xy = lattice([(0.0, 1.0), (0.0, 2.0)], 7)
+        img = ImageSample(np.column_stack([xy, np.full(len(xy), 0.25)]),
+                          (Interval(0.0, 1.0), Interval(0.0, 2.0), Interval(0.25, 0.25)))
+        queried = []
+        monkeypatch.setattr(oracle, "cKDTree", _counting_tree(queried))
+        got = hausdorff_piecewise(img, (x1, x2, flat), budget=16 * 5**3)
+        monkeypatch.undo()
+        cells = [[(i / 4, (i + 1) / 4), (j / 2, (j + 1) / 2), (0.25, 0.25)]
+                 for i in range(4) for j in range(4)]
+        assert got == _exhaustive(img, cells, 5)
+        assert all(len(q) == len(np.unique(q, axis=0)) for q in queried[1:])
 
 
 class TestOverflowingLattice:
