@@ -31,7 +31,6 @@ __all__ = [
     "ULP_MARGIN",
     "PI",
     "PI_HALF",
-    "TAU",
 ]
 
 
@@ -568,7 +567,6 @@ _ARRAY_RULES = {
 }
 
 
-#: Tight enclosures of the circle constants (math.pi and math.tau round down).
+#: Tight enclosures of pi and pi/2 (math.pi rounds down, and halving is exact).
 PI = Interval(math.pi, _up(math.pi))
 PI_HALF = Interval(math.pi / 2, _up(math.pi / 2))
-TAU = Interval(math.tau, _up(math.tau))

@@ -96,13 +96,6 @@ class Domain:
             return box.hi
         return min(box.lo + j * self.step(axis), box.hi)
 
-    def branch_interval(self, axis: int, j: int) -> Interval:
-        if not 0 <= axis < self.dim:
-            raise IndexError(f"axis {axis} out of range for dimension {self.dim}")
-        if not 0 <= j < self.branches:
-            raise IndexError(f"branch {j} out of range for N={self.branches}")
-        return Interval(self._grid(axis, j), self._grid(axis, j + 1))
-
     def branch_index(self, axis: int, x: float) -> int:
         """Branch containing x: branches are half-open below the top endpoint.
 

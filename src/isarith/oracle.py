@@ -1,25 +1,22 @@
-"""Desk-scale ground truth: image sampling, overestimation distance, and
-brute-force checkers for the range bounder and the univariate remainder.
+"""Desk-scale ground truth: image sampling and the overestimation distance.
 
-Everything here is deterministic given its seed, and every estimator works by
-exhaustive or dense enumeration rather than by reusing the enclosure code it
-is meant to check.
+Everything here is deterministic, and every estimator works by exhaustive or
+dense enumeration rather than by reusing the enclosure code it is meant to
+check.  The brute-force checkers of the range bounder and the univariate
+remainder are test code and live in `tests/reference.py`.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .expr import _OPS, Expr, eval_points
-from .interval import Interval, _add_down, _add_up
+from .expr import Expr, eval_points
+from .interval import Interval
 from .model import SuperpositionModel
-from .univariate import Atom, central_points, remainder_bound
 
 __all__ = [
     "BudgetExceeded",
@@ -27,8 +24,6 @@ __all__ = [
     "ImageSample",
     "sample_image",
     "hausdorff_enclosure",
-    "brute_force_range",
-    "remainder_violation_search",
 ]
 
 DEFAULT_BUDGET = 10**6
@@ -292,61 +287,3 @@ def hausdorff_piecewise(
             raise SoundnessViolation(f"cell {combo} box is disjoint from the clip on axis {c}")
     per_axis = _grid_per_axis(max(budget // cells, 2**m), m)
     return _farthest(img, _linspace(lo, hi, per_axis))
-
-
-def brute_force_range(m: SuperpositionModel, *, budget: int = DEFAULT_BUDGET) -> tuple[float, float]:
-    """Exact range by enumerating every branch tuple; the per-tuple endpoint
-    sums start from the constant and use the same directed rounding as the
-    row-wise bounder."""
-    combos = m.branches**m.dim
-    if combos > budget:
-        raise BudgetExceeded(f"{combos} branch tuples exceed the budget {budget}")
-    lows, highs = m.lo.tolist(), m.hi.tolist()
-    best_lo = math.inf
-    best_hi = -math.inf
-    for combo in itertools.product(range(m.branches), repeat=m.dim):
-        lo = m.const.lo
-        hi = m.const.hi
-        for i, j in enumerate(combo):
-            lo = _add_down(lo, lows[i][j])
-            hi = _add_up(hi, highs[i][j])
-        best_lo = min(best_lo, lo)
-        best_hi = max(best_hi, hi)
-    return best_lo, best_hi
-
-
-def remainder_violation_search(
-    g: Atom,
-    m: SuperpositionModel,
-    trials: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Search for offsets that violate the univariate remainder bound.
-
-    Draws admissible per-row offsets (uniform draws plus every corner of the
-    offset box plus zero), measures the composition defect in float64, and
-    returns the largest measured defect minus the bound.  The measurement is
-    discounted by its own float64 resolution, about one ulp per term, so a
-    sound bound yields a non-positive result instead of ulp-level false alarms
-    at points where the bound is attained exactly.
-    """
-    rb = m.range_bounds()
-    w = central_points(g, m, rb)
-    r = remainder_bound(g, m, w, rb)
-    n = m.dim
-    lo = np.array([l - a for l, a in zip(rb.row_lo, w.centers)])
-    hi = np.array([h - a for h, a in zip(rb.row_hi, w.centers)])
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(lo, hi, size=(trials, n))
-    corners = np.array(list(itertools.product(*zip(lo, hi)))) if n <= 20 else np.empty((0, n))
-    deltas = np.vstack([draws, corners, np.zeros((1, n))])
-
-    fn = _OPS[g.value].np
-    omega = w.omega.mid
-    spread_terms = fn(omega + deltas)
-    center_term = (n - 1) * fn(omega)
-    total_term = fn(omega + deltas.sum(axis=1))
-    defects = np.abs(spread_terms.sum(axis=1) - center_term - total_term)
-    scale = max(np.abs(spread_terms).max(), abs(center_term), np.abs(total_term).max(), 1e-30)
-    resolution = 4.0 * (n + 2) * np.finfo(float).eps * scale
-    return float(defects.max() - resolution) - r

@@ -90,7 +90,7 @@ def _clamp(v: float, lo: float, hi: float) -> float:
     return min(max(v, lo), hi)
 
 
-def central_points(g: Atom, m: SuperpositionModel, rb: RangeBounds | None = None) -> CompositionWorkspace:
+def central_points(g: Atom, m: SuperpositionModel) -> CompositionWorkspace:
     """Choose a central point inside every row hull and bound the admissible
     per-row offsets around it.
 
@@ -99,7 +99,7 @@ def central_points(g: Atom, m: SuperpositionModel, rb: RangeBounds | None = None
     uses the range-weighted mix of the hull endpoints.  A degenerate row's
     center is its single value and its spread is exactly zero.
     """
-    rb = rb if rb is not None else m.range_bounds()
+    rb = m.range_bounds()
     centers, radii = _midpoints_and_radii(rb)
     for i, (lo, hi) in enumerate(zip(rb.row_lo, rb.row_hi)):
         if lo == hi:
@@ -145,14 +145,12 @@ def _spread(g: Atom, lo: float, hi: float, a: float, rad: float, omega: Interval
     return max((left_num * left_den.inv()).hi, (right_num * right_den.inv()).hi, 0.0)
 
 
-def remainder_bound(
-    g: Atom, m: SuperpositionModel, w: CompositionWorkspace, rb: RangeBounds | None = None
-) -> float:
+def remainder_bound(g: Atom, m: SuperpositionModel, w: CompositionWorkspace) -> float:
     """Scalar bound on the defect of writing g over a sum of rows as a sum of
     recentered row images.  Exactly zero whenever at most one row is wide."""
     if g is Atom.NEG:
         return 0.0
-    rb = rb if rb is not None else m.range_bounds()
+    rb = m.range_bounds()
     active = [i for i, s in enumerate(w.spreads) if s > 0.0]
     if len(active) <= 1:
         return 0.0
@@ -253,8 +251,8 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
 
     rb = m.range_bounds()
     _check_atom_domain(g, rb)
-    w = central_points(g, m, rb)
-    r = remainder_bound(g, m, w, rb)
+    w = central_points(g, m)
+    r = remainder_bound(g, m, w)
 
     g_omega = getattr(Interval, g.value)(w.omega)  # every atom but NEG names its Interval method
     wide = [i for i, (lo, hi) in enumerate(zip(rb.row_lo, rb.row_hi)) if lo < hi]

@@ -1,5 +1,7 @@
 """Shared builders for randomized model-level tests."""
 
+import itertools
+
 import numpy as np
 
 from isarith import oracle
@@ -59,6 +61,15 @@ def hull(a, b):
     return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
+def branch_interval(d, axis, j):
+    """Branch j of an axis of the domain d as an interval."""
+    if not 0 <= axis < d.dim:
+        raise IndexError(f"axis {axis} out of range for dimension {d.dim}")
+    if not 0 <= j < d.branches:
+        raise IndexError(f"branch {j} out of range for N={d.branches}")
+    return Interval(d._grid(axis, j), d._grid(axis, j + 1))
+
+
 def unit_domain(n, branches):
     return Domain.of([(0.0, 1.0)] * n, branches)
 
@@ -102,9 +113,8 @@ def random_separable_model(rng, atom, n, branches, wide_row=None):
 
 
 def admissible_offsets(m, centers, rng, trials):
-    """Uniform draws plus all corner vectors of the admissible offset box."""
-    import itertools
-
+    """Uniform draws plus all corner vectors of the admissible offset box,
+    then the zero vector."""
     rb = m.range_bounds()
     lo = np.array([l - a for l, a in zip(rb.row_lo, centers)])
     hi = np.array([h - a for h, a in zip(rb.row_hi, centers)])

@@ -9,12 +9,22 @@ there too; only the per-entry part is written out here.
 
 Each rule returns (rows, const): a list of rows of `Interval` and the
 constant.  `model` turns such a pair back into a model for the next rule.
+
+The brute-force checkers live here too: `brute_force_range` enumerates every
+branch tuple of a model, and `remainder_violation_search` measures the
+composition defect at sampled offsets against the remainder bound.
 """
 
-from conftest import make_model
+import itertools
+import math
+
+import numpy as np
+
+from conftest import admissible_offsets, defect_noise_floor, defect_values, make_model
 from isarith.bivariate import product_workspace
 from isarith.interval import Interval, _add_down, _add_up, _sub_up
 from isarith.model import RangeBounds
+from isarith.oracle import DEFAULT_BUDGET, BudgetExceeded
 from isarith.univariate import Atom, _check_atom_domain, central_points, remainder_bound
 
 ZERO = Interval(0.0, 0.0)
@@ -64,8 +74,8 @@ def compose(g, m):
         return [[-e for e in row] for row in m.coeffs], -m.const
     rb = range_bounds(m)
     _check_atom_domain(g, rb)
-    w = central_points(g, m, rb)
-    r = remainder_bound(g, m, w, rb)
+    w = central_points(g, m)
+    r = remainder_bound(g, m, w)
     apply = getattr(Interval, g.value)
     g_omega = apply(w.omega)
     rows = [
@@ -96,3 +106,42 @@ def recip(m):
         return compose(Atom.INV, m)
     negated = model(m.domain, *compose(Atom.NEG, m))
     return compose(Atom.NEG, model(m.domain, *compose(Atom.INV, negated)))
+
+
+def brute_force_range(m, *, budget=DEFAULT_BUDGET):
+    """Exact range by enumerating every branch tuple; the per-tuple endpoint
+    sums start from the constant and use the same directed rounding as the
+    row-wise bounder."""
+    combos = m.branches**m.dim
+    if combos > budget:
+        raise BudgetExceeded(f"{combos} branch tuples exceed the budget {budget}")
+    lows, highs = m.lo.tolist(), m.hi.tolist()
+    best_lo = math.inf
+    best_hi = -math.inf
+    for combo in itertools.product(range(m.branches), repeat=m.dim):
+        lo = m.const.lo
+        hi = m.const.hi
+        for i, j in enumerate(combo):
+            lo = _add_down(lo, lows[i][j])
+            hi = _add_up(hi, highs[i][j])
+        best_lo = min(best_lo, lo)
+        best_hi = max(best_hi, hi)
+    return best_lo, best_hi
+
+
+def remainder_violation_search(g, m, trials=10_000, seed=0):
+    """Search for offsets that violate the univariate remainder bound.
+
+    Draws admissible per-row offsets (`admissible_offsets`), measures the
+    composition defect in float64, and returns the largest measured defect
+    minus the bound.  The measurement is discounted by half the noise floor,
+    about one ulp per term, so a sound bound yields a non-positive result
+    instead of ulp-level false alarms at points where the bound is attained
+    exactly.
+    """
+    w = central_points(g, m)
+    r = remainder_bound(g, m, w)
+    deltas = admissible_offsets(m, w.centers, np.random.default_rng(seed), trials)
+    omega = w.omega.mid
+    resolution = defect_noise_floor(g, omega, deltas) / 2
+    return float(defect_values(g, omega, deltas).max() - resolution) - r

@@ -9,19 +9,22 @@ calibrated elsewhere.
 """
 
 import math
+import operator
 import time
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_model_for_atom, random_separable_model
+from conftest import admissible_offsets, defect_values, random_model_for_atom, random_separable_model
 from isarith.bivariate import product_workspace
 from isarith.cli import RunConfig, run_compare, run_recursion, run_sweep
-from isarith.expr import eval_interval, eval_ism, eval_points, parse
+from isarith.expr import _walk, eval_interval, eval_ism, eval_points, parse, to_text
 from isarith.interval import DomainViolation, Interval
 from isarith.model import Domain
-from isarith.oracle import brute_force_range, remainder_violation_search
 from isarith.univariate import Atom, central_points, remainder_bound
+from reference import brute_force_range, remainder_violation_search
 
 SHOWCASE = "exp(sin(x1)+sin(x2)*cos(x2))"
 SEED = 20260808
@@ -185,16 +188,13 @@ def _coverage(e):
     return seen
 
 
-def test_c4_random_expression_soundness():
-    start = time.perf_counter()
-    rng = np.random.default_rng(SEED)
+def _random_cases(rng, count, points):
+    """c4's cases: `count` random expressions that eval_ism accepts, each as
+    (expression, model, points uniform in its box)."""
     root_bag = list(_UNARIES) + list(_BINARIES) + ["pow"]
-    checked = 0
-    violations = 0
-    covered = set()
     expressions = 0
     attempts = 0
-    while expressions < 300:
+    while expressions < count:
         attempts += 1
         assert attempts < 6000, "expression generator stalled"
         arity = int(rng.integers(1, 4))
@@ -212,10 +212,21 @@ def test_c4_random_expression_soundness():
         except (DomainViolation, OverflowError):
             continue
         expressions += 1
-        covered |= _coverage(e)
         lo = np.array([b.lo for b in box])
         hi = np.array([b.hi for b in box])
-        xs = rng.uniform(lo, hi, size=(340, arity))
+        yield e, model, rng.uniform(lo, hi, size=(points, arity))
+
+
+def test_c4_random_expression_soundness():
+    start = time.perf_counter()
+    rng = np.random.default_rng(SEED)
+    checked = 0
+    violations = 0
+    covered = set()
+    expressions = 0
+    for e, model, xs in _random_cases(rng, 300, 340):
+        expressions += 1
+        covered |= _coverage(e)
         vals = eval_points(e, xs)[:, 0]
         for x, v in zip(xs, vals):
             checked += 1
@@ -230,6 +241,47 @@ def test_c4_random_expression_soundness():
     assert violations == 0
     assert checked >= 100_000
     assert want <= covered, want - covered
+
+
+_EXACT_OPS = {
+    "neg": operator.neg, "sqr": lambda a: a * a, "inv": lambda a: 1 / a,
+    "exp": mpmath.exp, "log": mpmath.log, "sin": mpmath.sin, "cos": mpmath.cos,
+    "tan": mpmath.tan, "cot": mpmath.cot, "sqrt": mpmath.sqrt,
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv,
+}
+
+
+def _exact_value(e, x):
+    """The expression's first output at the point x, at the working precision
+    of mpmath; the float constants and coordinates enter exactly."""
+    op = lambda kind, param, *args: args[0] ** param if kind == "pow" else _EXACT_OPS[param](*args)
+    v = _walk(e, lambda i: mpmath.mpf(x[i]), mpmath.mpf, op)[0]
+    man, exp = v.man_exp  # man is |mantissa|
+    return int(mpmath.sign(v)) * Fraction(man) * Fraction(2) ** exp
+
+
+def test_c4_pointwise_soundness_in_exact_arithmetic():
+    # c4's first 30 expressions and their points, each value taken at 50
+    # digits instead of in float64 and compared with the enclosure endpoints
+    # as Fractions
+    start = time.perf_counter()
+    rng = np.random.default_rng(SEED)
+    checked = 0
+    violations = []
+    with mpmath.workdps(50):
+        for e, model, xs in _random_cases(rng, 30, 340):
+            for x in xs.tolist():
+                checked += 1
+                enc = model.evaluate(x)
+                if not Fraction(enc.lo) <= _exact_value(e, x) <= Fraction(enc.hi):
+                    violations.append((to_text(e), x))
+    elapsed = time.perf_counter() - start
+    ok = not violations and checked >= 10_000
+    _report("criterion 4, exact", ok,
+            f"{checked} points over 30 expressions at 50 digits, "
+            f"{len(violations)} violations, {elapsed:.1f}s")
+    assert not violations, violations[:5]
+    assert checked >= 10_000
 
 
 def test_c5_remainder_bounds_hold_under_search():
@@ -270,12 +322,6 @@ def test_c5_worst_draws_hold_in_exact_arithmetic():
     # draws for them (same generators, same seeds): the 20 draws with the
     # largest float64 defects, recomputed at 40 digits with no resolution
     # discount, stay within the remainder bound
-    import itertools
-
-    import mpmath
-
-    from isarith.expr import _OPS
-
     exact = {Atom.NEG: lambda x: -x, Atom.SQR: lambda x: x * x, Atom.INV: lambda x: 1 / x}
     start = time.perf_counter()
     rng = np.random.default_rng(SEED + 1)
@@ -286,17 +332,11 @@ def test_c5_worst_draws_hold_in_exact_arithmetic():
             models = [random_model_for_atom(rng, atom, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
                       for _ in range(100)]
             for trial, m in enumerate(models[:30]):
-                rb = m.range_bounds()
-                w = central_points(atom, m, rb)
-                r = remainder_bound(atom, m, w, rb)
-                lo = np.array([l - a for l, a in zip(rb.row_lo, w.centers)])
-                hi = np.array([h - a for h, a in zip(rb.row_hi, w.centers)])
-                draws = np.random.default_rng(SEED + trial).uniform(lo, hi, size=(10_000, m.dim))
-                corners = np.array(list(itertools.product(*zip(lo, hi))))
-                deltas = np.vstack([draws, corners, np.zeros((1, m.dim))])
-                fn, omega = _OPS[atom.value].np, w.omega.mid
-                defects = np.abs(fn(omega + deltas).sum(axis=1) - (m.dim - 1) * fn(omega)
-                                 - fn(omega + deltas.sum(axis=1)))
+                w = central_points(atom, m)
+                r = remainder_bound(atom, m, w)
+                deltas = admissible_offsets(m, w.centers, np.random.default_rng(SEED + trial), 10_000)
+                omega = w.omega.mid
+                defects = defect_values(atom, omega, deltas)
                 om = mpmath.mpf(omega)
                 for d in deltas[np.argsort(defects)[-20:]]:
                     ds = [mpmath.mpf(float(x)) for x in d]
@@ -367,3 +407,38 @@ def test_c9_overestimation_vanishes_on_shrinking_domains():
     monotone = all(a > b for a, b in zip(dists, dists[1:]))
     _report("criterion 9", monotone, f"dH by scale {['%.4f' % v for v in dists]}")
     assert monotone
+
+
+def test_c10_convergence_orders_on_shrinking_domains():
+    # dH on the showcase over boxes centred at (5, 10) with half-widths 5t and
+    # 10t; the order is the slope of log2 dH against log2 t over t in
+    # [1/32, 1/4].  Measured: ISA at N=100 1.90, ISA at N=10 1.54, IA 0.79.
+    # Bounds fixed before the run, with margin: ISA at N=100 second order
+    # (>= 1.7), IA first order (<= 1.2).
+    ts = [2.0**-k for k in range(2, 7)]
+    dists = {}
+    for n in (100, 10, 1):
+        for t in ts:
+            spec = f"x1=[{5 - 5 * t},{5 + 5 * t}];x2=[{10 - 10 * t},{10 + 10 * t}]"
+            cfg = RunConfig(expr=SHOWCASE, domain=spec, branches=n,
+                            grid=250_000, seed=SEED, out=None, depth=1)
+            row = run_compare(cfg)
+            dists[n, t] = (row["dH_isa"], row["dH_ia"])
+
+    def order(values):
+        fit = [(math.log2(t), math.log2(v)) for t, v in zip(ts, values) if t >= 1 / 32]
+        return float(np.polyfit(*zip(*fit), 1)[0])
+
+    isa = {n: [dists[n, t][0] for t in ts] for n in (100, 10, 1)}
+    ia = [dists[100, t][1] for t in ts]
+    orders = {"isa100": order(isa[100]), "isa10": order(isa[10]), "ia": order(ia)}
+    isa10_below_ia = all(a < b for a, b in zip(isa[10], ia))
+    isa1_is_ia = all(abs(a - b) <= 1e-12 * b for a, b in zip(isa[1], ia))
+    ok = orders["isa100"] >= 1.7 and orders["ia"] <= 1.2 and isa10_below_ia and isa1_is_ia
+    _report("criterion 10", ok,
+            ", ".join(f"order {k} {v:.2f}" for k, v in orders.items())
+            + f", N=10 below IA: {isa10_below_ia}, N=1 equals IA: {isa1_is_ia}")
+    assert orders["isa100"] >= 1.7, orders
+    assert orders["ia"] <= 1.2, orders
+    assert isa10_below_ia, (isa[10], ia)
+    assert isa1_is_ia, (isa[1], ia)

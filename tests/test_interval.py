@@ -5,6 +5,7 @@ import operator
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +19,7 @@ from isarith.interval import (
     Interval,
     IntervalError,
     ZeroInDomain,
+    _ARRAY_RULES,
     _SPLIT_LIMIT,
     _add_down,
     _add_up,
@@ -444,3 +446,127 @@ def test_rounding_past_the_largest_float_raises():
     model = make_model(Domain.of([(0.0, 1.0)] * 2, 1), [[(0.0, MAX)], [(0.0, 1.0)]])
     with pytest.raises(OverflowError):
         model.range_bounds()
+
+
+# ----------------------------------------------------------------------
+# transcendental endpoints against mpmath at 40 digits
+# ----------------------------------------------------------------------
+
+MIN_NORMAL = sys.float_info.min
+SUBNORMALS = [TINY, -TINY, 3 * TINY, 1e-310, -1e-310, math.nextafter(MIN_NORMAL, 0.0), MIN_NORMAL]
+HUGE = [s * 10.0**k for k in range(15, 23) for s in (1.0, -1.0, 3.7)]
+NEAR_POLES = [
+    math.pi / 2 + k * math.pi + d
+    for k in (-1e6, -3, -1, 0, 1, 2, 7, 1e6)
+    for d in (-1e-7, -1e-8, -1e-9, 1e-9, 1e-8, 1e-7)
+]
+NEAR_ONE = [1.0 + d for d in (-1e-9, -1e-15, 1e-15, 1e-9)] + [
+    math.nextafter(1.0, v) for v in (0.0, 2.0)
+]
+EDGE_INPUTS = {
+    "exp": SUBNORMALS + [0.0, 1.0, -1.0, 709.78, -709.78, 709.782712893384, 709.79, -745.0, -745.13, -746.0],
+    "log": [x for x in SUBNORMALS if x > 0] + NEAR_ONE + [1.0, 0.5, 2.0, 1e300, MAX],
+    "sin": SUBNORMALS + [0.0, 1.0, math.pi, -math.pi / 2] + HUGE,
+    "cos": SUBNORMALS + [0.0, 1.0, math.pi, math.pi / 2] + HUGE,
+    "tan": SUBNORMALS + [0.0, 1.0, -1.0, math.pi] + HUGE + NEAR_POLES,
+}
+#: (offset, period), in units of pi/2, of the points where each rule's exact
+#: image turns: the maxima and minima of sin and cos, the poles of tan
+TURNS = {
+    "sin": ((1, 4), (-1, 4)),
+    "cos": ((0, 4), (2, 4)),
+    "tan": ((1, 2),),
+}
+
+
+def _has_turn(a, b, offset, period, slack=0):
+    """Does (offset + k * period) * pi/2 lie within slack of [a, b] for an
+    integer k?  Located at 60 digits, which resolves arguments up to 1e22."""
+    with mpmath.workdps(60):
+        unit = mpmath.pi / 2
+        k = mpmath.ceil((mpmath.mpf(a) - slack - offset * unit) / (period * unit))
+        return (offset + k * period) * unit <= mpmath.mpf(b) + slack
+
+
+def _scalar_rule(name, lo, hi):
+    """(lo, hi) of the scalar rule over [lo, hi], or the class it raises."""
+    try:
+        out = getattr(Interval(lo, hi), name)()
+    except (DomainViolation, OverflowError) as err:
+        return type(err)
+    return out.lo, out.hi
+
+
+def _array_rule(name, pairs):
+    """The array rule over the pairs as one (2, 1, k) array, as a (k, 2) array,
+    or the class it raises."""
+    try:
+        out = _ARRAY_RULES[name](np.array(pairs, dtype=float).T[:, None, :])
+    except (DomainViolation, OverflowError) as err:
+        return type(err)
+    return out[:, 0, :].T
+
+
+def _assert_holds_exact_image(name, a, b, got, inner):
+    """The scalar result over [a, b] holds the exact value at a, b and the
+    inner points, and reaches +-1 where an exact extremum lies inside; a
+    raise is legitimate only at an exact pole or overflow, up to the rule's
+    tolerance."""
+    f = getattr(mpmath, name)
+    if got is OverflowError:
+        assert name == "exp" and f(mpmath.mpf(b)) > MAX * (1 - mpmath.mpf(2) ** -48), (a, b)
+        return
+    if got is DomainViolation:
+        assert name == "tan" and _has_turn(a, b, *TURNS["tan"][0], 4e-9 + 1e-14 * max(abs(a), abs(b))), (a, b)
+        return
+    lo, hi = mpmath.mpf(got[0]), mpmath.mpf(got[1])
+    for x in (a, b, *inner):
+        assert lo <= f(mpmath.mpf(x)) <= hi, (name, a, b, x, got)
+    if name == "tan":
+        assert not _has_turn(a, b, *TURNS["tan"][0]), (a, b, got)
+    elif name in TURNS:
+        peak, trough = TURNS[name]
+        assert got[1] == 1.0 or not _has_turn(a, b, *peak), (name, a, b, got)
+        assert got[0] == -1.0 or not _has_turn(a, b, *trough), (name, a, b, got)
+
+
+def check_transcendental(name, pairs, ts):
+    """Every (lo, hi) pair against mpmath at 40 digits, and the array rule
+    against the scalar rule: the same class raised per entry, and the same
+    bits over all the entries that do not raise, in one call."""
+    scalar = [_scalar_rule(name, a, b) for a, b in pairs]
+    with mpmath.workdps(40):
+        for (a, b), got in zip(pairs, scalar):
+            inner = [min(max(a + t * (b - a), a), b) for t in ts]
+            _assert_holds_exact_image(name, a, b, got, inner)
+    for pair, got in zip(pairs, scalar):
+        if isinstance(got, type):
+            assert _array_rule(name, [pair]) is got, (name, pair)
+    kept = [(pair, got) for pair, got in zip(pairs, scalar) if not isinstance(got, type)]
+    if kept:
+        out = _array_rule(name, [pair for pair, _ in kept])
+        want = np.array([got for _, got in kept])
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64)), name
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_transcendental_edges_hold_exact_values(name):
+    xs = EDGE_INPUTS[name]
+    pairs = [(x, x) for x in xs] + [(min(a, b), max(a, b)) for a, b in zip(xs, xs[1:])]
+    check_transcendental(name, pairs, ts=(0.25, 0.5))
+
+
+def transcendental_inputs(name):
+    wide = {"exp": (-746.0, 709.8), "log": (TINY, MAX)}.get(name, (-1e22, 1e22))
+    narrow = {"exp": (-20.0, 20.0), "log": (TINY, 4.0)}.get(name, (-8.0, 8.0))
+    return st.one_of(st.sampled_from(EDGE_INPUTS[name]), st.floats(*wide), st.floats(*narrow))
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_transcendental_fuzz_holds_exact_values(name, data):
+    xs = transcendental_inputs(name)
+    pair = st.one_of(xs.map(lambda x: (x, x)), st.tuples(xs, xs).map(lambda p: (min(p), max(p))))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=6))
+    check_transcendental(name, pairs, ts=(data.draw(st.floats(0.0, 1.0)),))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import is_separable, make_model, row
+from conftest import branch_interval, is_separable, make_model, row
 from isarith.interval import Interval
 from isarith.model import Domain, OutOfDomain, init_constant, init_variable
 
@@ -28,21 +28,21 @@ def brute_range(m):
 class TestDomain:
     def test_branch_geometry_unit(self):
         d = Domain.of([(0, 1)], branches=2)
-        assert d.branch_interval(0, 0) == Interval(0.0, 0.5)
-        assert d.branch_interval(0, 1) == Interval(0.5, 1.0)
+        assert branch_interval(d, 0, 0) == Interval(0.0, 0.5)
+        assert branch_interval(d, 0, 1) == Interval(0.5, 1.0)
 
     def test_last_branch_hits_box_endpoint(self):
         d = Domain.of([(0, 10), (0, 20)], branches=100)
-        b = d.branch_interval(1, 99)
+        b = branch_interval(d, 1, 99)
         assert b.hi == 20.0
         assert math.isclose(b.lo, 19.8, rel_tol=0, abs_tol=1e-12)
 
     def test_bad_indices(self):
         d = Domain.of([(0, 1)], branches=2)
         with pytest.raises(IndexError):
-            d.branch_interval(1, 0)
+            branch_interval(d, 1, 0)
         with pytest.raises(IndexError):
-            d.branch_interval(0, 2)
+            branch_interval(d, 0, 2)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
@@ -76,13 +76,13 @@ class TestDomain:
         d = Domain.of([(lo, lo + width)], branches=cap)
         x = min(max(lo + t * width, lo), lo + width)
         j = d.branch_index(0, x)
-        assert d.branch_interval(0, j).contains(x)
+        assert branch_interval(d, 0, j).contains(x)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-100, 100), st.floats(1e-3, 100), st.integers(1, 19))
     def test_branches_tile_the_box(self, lo, width, cap):
         d = Domain.of([(lo, lo + width)], branches=cap)
-        pieces = [d.branch_interval(0, j) for j in range(cap)]
+        pieces = [branch_interval(d, 0, j) for j in range(cap)]
         assert pieces[0].lo == lo
         assert pieces[-1].hi == lo + width
         for a, b in zip(pieces, pieces[1:]):

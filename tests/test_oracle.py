@@ -1,5 +1,8 @@
-"""Sampling oracle, overestimation distance, brute-force checkers."""
+"""Sampling oracle and overestimation distance, plus the brute-force checkers
+of `tests/reference.py`."""
 
+import ast
+import inspect
 import math
 import tracemalloc
 
@@ -17,13 +20,12 @@ from isarith.oracle import (
     BudgetExceeded,
     ImageSample,
     SoundnessViolation,
-    brute_force_range,
     hausdorff_enclosure,
     hausdorff_piecewise,
-    remainder_violation_search,
     sample_image,
 )
 from isarith.univariate import Atom, compose
+from reference import brute_force_range, remainder_violation_search
 
 
 class TestSampleImage:
@@ -517,3 +519,19 @@ class TestViolationSearch:
         a = remainder_violation_search(Atom.EXP, m, trials=500, seed=42)
         b = remainder_violation_search(Atom.EXP, m, trials=500, seed=42)
         assert a == b
+
+
+def test_oracle_imports_only_the_expression_interval_and_model_layers():
+    # the oracle samples and scans; the checkers that need the composition
+    # rules are test code (tests/reference.py)
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["isarith" if node.level else "", node.module]))
+            names = [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        imported |= {name.split(".")[1] for name in names if name.startswith("isarith.")}
+    assert imported <= {"expr", "interval", "model"}, imported

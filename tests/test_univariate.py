@@ -63,7 +63,7 @@ class TestCentralPoints:
             for _ in range(20):
                 m = random_model_for_atom(rng, atom, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
                 rb = m.range_bounds()
-                w = central_points(atom, m, rb)
+                w = central_points(atom, m)
                 for a, lo, hi in zip(w.centers, rb.row_lo, rb.row_hi):
                     assert lo <= a <= hi
 
@@ -71,7 +71,7 @@ class TestCentralPoints:
         # one row: center collapses to the midpoint-free formula value L=U mix
         m = make_model(unit_domain(2, 1), [[(1.0, 2.0)], [(3.0, 4.0)]])
         rb = m.range_bounds()
-        w = central_points(Atom.INV, m, rb)
+        w = central_points(Atom.INV, m)
         lam, mu = rb.lo, rb.hi  # 4, 6
         for i, (lo, hi) in enumerate(zip(rb.row_lo, rb.row_hi)):
             expected = (lo * mu + hi * lam) / (lam + mu)
@@ -113,9 +113,8 @@ class TestRemainderBound:
         rng = np.random.default_rng(hash(atom.value) % 2**32)
         for _ in range(25):
             m = random_model_for_atom(rng, atom, int(rng.integers(2, 4)), int(rng.integers(1, 4)))
-            rb = m.range_bounds()
-            w = central_points(atom, m, rb)
-            r = remainder_bound(atom, m, w, rb)
+            w = central_points(atom, m)
+            r = remainder_bound(atom, m, w)
             deltas = admissible_offsets(m, w.centers, rng, trials=2000)
             worst = defect_values(atom, w.omega.mid, deltas).max()
             assert worst <= r + defect_noise_floor(atom, w.omega.mid, deltas)
@@ -139,8 +138,8 @@ class TestRemainderBound:
                 ]
                 m = make_model(unit_domain(2, 1), rows)
                 rb = m.range_bounds()
-                w = central_points(atom, m, rb)
-                r = remainder_bound(atom, m, w, rb)
+                w = central_points(atom, m)
+                r = remainder_bound(atom, m, w)
                 width = rb.hi - rb.lo
                 ratios.append(r / width**2)
             assert all(q <= 2.0 * ratios[0] + 1e-12 for q in ratios)
