@@ -25,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -119,23 +119,19 @@ class RunConfig:
     depth: int
 
 
-def _write_csv(stream: TextIO, meta: dict, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    for key in meta:
-        stream.write(f"# {key}={meta[key]}\n")
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        cells = ["" if v is None else (repr(v) if isinstance(v, float) else str(v)) for v in row]
-        stream.write(",".join(cells) + "\n")
-
-
 def _emit(out: str | None, meta: dict, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write a CSV with its '#' metadata lines to stdout, or to the file out."""
+    lines = [f"# {key}={value}" for key, value in meta.items()] + [",".join(header)]
+    for row in rows:
+        cells = ("" if v is None else (repr(v) if isinstance(v, float) else str(v)) for v in row)
+        lines.append(",".join(cells))
+    text = "\n".join(lines) + "\n"
     if out is None:
-        _write_csv(sys.stdout, meta, header, rows)
+        sys.stdout.write(text)
     else:
         path = Path(out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_csv(fh, meta, header, rows)
+        path.write_text(text, encoding="utf-8")
 
 
 def _base_meta(cfg: RunConfig) -> dict:

@@ -123,22 +123,24 @@ def _sub_up(a: float, b: float) -> float:
     return _add_up(a, -b)
 
 
-def _mul_down(a: float, b: float) -> float:
+def _mul_both(a: float, b: float) -> tuple[float, float]:
+    """a * b rounded down and up, from one TwoProduct."""
     p, e = _two_prod(a, b)
     _require_finite(p, "product")
     if e is None:
-        # a positive product that underflowed to zero is bounded below by 0
-        return 0.0 if p == 0.0 and (a > 0.0) == (b > 0.0) else _down(p)
-    return _down(p) if e < 0 else p
+        # a product that underflowed to zero is bounded by 0 on its sign's side
+        if p == 0.0:
+            return (0.0, _up(p)) if (a > 0.0) == (b > 0.0) else (_down(p), 0.0)
+        return _down(p), _up(p)
+    return (_down(p) if e < 0 else p), (_up(p) if e > 0 else p)
+
+
+def _mul_down(a: float, b: float) -> float:
+    return _mul_both(a, b)[0]
 
 
 def _mul_up(a: float, b: float) -> float:
-    p, e = _two_prod(a, b)
-    _require_finite(p, "product")
-    if e is None:
-        # a negative product that underflowed to zero is bounded above by 0
-        return 0.0 if p == 0.0 and (a > 0.0) != (b > 0.0) else _up(p)
-    return _up(p) if e > 0 else p
+    return _mul_both(a, b)[1]
 
 
 def _quotient_side(a: float, b: float, q: float) -> int:
@@ -262,16 +264,13 @@ class Interval:
             other = Interval.point(other)
         elif not isinstance(other, Interval):
             return NotImplemented
-        combos = (
-            (self.lo, other.lo),
-            (self.lo, other.hi),
-            (self.hi, other.lo),
-            (self.hi, other.hi),
+        products = (
+            _mul_both(self.lo, other.lo),
+            _mul_both(self.lo, other.hi),
+            _mul_both(self.hi, other.lo),
+            _mul_both(self.hi, other.hi),
         )
-        return Interval(
-            min(_mul_down(a, b) for a, b in combos),
-            max(_mul_up(a, b) for a, b in combos),
-        )
+        return Interval(min(d for d, _ in products), max(u for _, u in products))
 
     def __rmul__(self, other: float | int) -> Interval:
         return self * other
@@ -415,17 +414,16 @@ def _two_prods(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_mul_down and _mul_up entrywise, unchecked for a rounding step past the
-    largest float; entries without a trusted error term use the scalar rules."""
+    """_mul_both entrywise, unchecked for a rounding step past the largest
+    float; entries without a trusted error term use the scalar rule."""
     p, err, untrusted = _two_prods(a, b)
     _finite(p, "product")
     with np.errstate(over="ignore"):
         down = np.where(err < 0.0, np.nextafter(p, -_INF), p)
         up = np.where(err > 0.0, np.nextafter(p, _INF), p)
     if untrusted.any():
-        pairs = list(zip(a[untrusted].tolist(), b[untrusted].tolist()))
-        down[untrusted] = [_mul_down(x, y) for x, y in pairs]
-        up[untrusted] = [_mul_up(x, y) for x, y in pairs]
+        pairs = map(_mul_both, a[untrusted].tolist(), b[untrusted].tolist())
+        down[untrusted], up[untrusted] = zip(*pairs)
     return down, up
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from .interval import (
     _INF,
     _SIGNS,
-    _SPLIT_LIMIT,
     Interval,
     IntervalError,
     _add_down,
@@ -234,27 +233,18 @@ def _affine(
 ) -> SuperpositionModel:
     """Entrywise scale plus a shift of the constant.  Exact and remainder-free.
 
-    A scale of 1 or -1 keeps or mirrors the entries without multiplying
-    whenever the product rule would give the same bits: it does unless an
-    entry is nonzero and below 1e-290 or above the splitting limit in
-    magnitude, where the directed product widens by one step; and of equal
-    candidates it keeps the first, so an entry [-0.0, 0.0] becomes
-    [-0.0, -0.0] under 1 and [0.0, 0.0] under -1.
+    A point scale of 1 or -1 is exact with no rounding at all: 1 shares the
+    read-only matrix and moves only the constant, and -1 mirrors the matrix
+    and the constant as negation does.  Every other scale multiplies each
+    entry by the interval product rule.
     """
-    const = m.const * scale + shift
     c_lo, c_hi = (scale.lo, scale.hi) if isinstance(scale, Interval) else (scale, scale)
-    if c_lo == c_hi and abs(c_lo) == 1.0 and _exact_products(m):
-        top = np.where(m.hi > m.lo, m.hi, m.lo)
-        bounds = np.stack((m.lo, top))
-        return SuperpositionModel(m.domain, bounds if c_lo > 0.0 else -bounds[::-1], const)
+    if c_lo == c_hi == 1.0:
+        return SuperpositionModel(m.domain, m.bounds, m.const + shift)
+    if c_lo == c_hi == -1.0:
+        return SuperpositionModel(m.domain, -m.bounds[::-1], -m.const + shift)
     bounds = _interval_products(m.bounds, np.broadcast_to(_stacked(c_lo, c_hi), m.bounds.shape))
-    return SuperpositionModel(m.domain, bounds, const)
-
-
-def _exact_products(m: SuperpositionModel) -> bool:
-    """True when every entry's products with 1 and -1 are trusted exact."""
-    mags = np.abs(m.bounds)
-    return not ((mags > _SPLIT_LIMIT) | ((mags < 1e-290) & (mags > 0.0))).any()
+    return SuperpositionModel(m.domain, bounds, m.const * scale + shift)
 
 
 def _midpoints_and_radii(rb: RangeBounds) -> tuple[list[float], list[float]]:

@@ -70,6 +70,33 @@ def check_model(got, want):
     return True
 
 
+def check_unit_scale(got, m, c, shift, want):
+    """got: outcome of a point scale c of 1 or -1 and a shift; want: outcome
+    of the reference product.  The matrix is kept (the same array) under 1
+    and mirrored under -1, the constant moves exactly, and every entry and
+    the constant lie inside the product's result.  Where the product raises,
+    a step past the largest float, the kept or mirrored entries stand."""
+    assert got[0] == "ok", got
+    out = got[1]
+    if (c if isinstance(c, float) else c.lo) > 0.0:
+        assert out.bounds is m.bounds
+        const = m.const + shift
+    else:
+        assert same_bits(out.bounds, -m.bounds[::-1])
+        const = -m.const + shift
+    assert same_bits([out.const.lo, out.const.hi], [const.lo, const.hi])
+    rb, ref = out.range_bounds(), reference.range_bounds(out)
+    assert same_bits([rb.lo, rb.hi, *rb.row_lo, *rb.row_hi], [ref.lo, ref.hi, *ref.row_lo, *ref.row_hi])
+    if want[0] == "raise":
+        assert want[1] is OverflowError
+        return False
+    rows, wconst = want[1]
+    assert (np.array([[e.lo for e in row] for row in rows]) <= out.lo).all()
+    assert (out.hi <= np.array([[e.hi for e in row] for row in rows])).all()
+    assert wconst.lo <= out.const.lo and out.const.hi <= wconst.hi
+    return True
+
+
 def sprinkle(rng, m, share=0.25, pool=SPECIAL):
     """m with some entries replaced by [v, w] from the pool, ordered so the
     interval is valid; equal values of either sign keep their drawn order."""
@@ -210,9 +237,8 @@ class TestRulesAgainstReference:
         rng = np.random.default_rng(113)
         compared = 0
         for m in random_models(rng, Atom.SQR, 40):
-            compared += check_model(
-                outcome(lambda: scalar_affine(m, c, d)), outcome(lambda: reference.scalar_affine(m, c, d))
-            )
+            got, want = outcome(lambda: scalar_affine(m, c, d)), outcome(lambda: reference.scalar_affine(m, c, d))
+            compared += check_unit_scale(got, m, c, d, want) if abs(c) == 1.0 else check_model(got, want)
         assert compared >= 10
 
     def test_interval_scale_and_shift(self):
@@ -221,8 +247,9 @@ class TestRulesAgainstReference:
         scale = Interval.point(3.0).inv()
         for m in random_models(rng, Atom.SQR, 40):
             check_model(outcome(lambda: _affine(m, scale)), outcome(lambda: reference.affine(m, scale)))
-            check_model(
-                outcome(lambda: _affine(m, -1.0, PI_HALF)), outcome(lambda: reference.affine(m, -1.0, PI_HALF))
+            check_unit_scale(
+                outcome(lambda: _affine(m, -1.0, PI_HALF)), m, -1.0, PI_HALF,
+                outcome(lambda: reference.affine(m, -1.0, PI_HALF)),
             )
 
     @pytest.mark.parametrize("atom", list(Atom))
@@ -244,21 +271,22 @@ class TestRulesAgainstReference:
 
 
 class TestUnitScale:
-    """A scale of 1 or -1 skips the product and must give its bits."""
+    """A point scale of 1 or -1 keeps or mirrors the matrix without
+    multiplying; the exact result lies inside the product's."""
 
     ENTRIES = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0), (-1.0, 0.0), (-0.0, 2.0), (0.5, 0.5), (-3.0, -1.0)]
 
     @pytest.mark.parametrize("c", [1.0, -1.0, Interval(1.0, 1.0), Interval(-1.0, -1.0)])
     def test_matches_the_product_with_signed_zeros(self, c):
         m = make_model(unit_domain(2, 4), [self.ENTRIES[:4], self.ENTRIES[4:]], const=(-0.0, 0.0))
-        got = _affine(m, c)
-        rows, const = reference.affine(m, c)
-        ends = (c, c) if isinstance(c, float) else (c.lo, c.hi)
-        full = np.stack([np.full(m.lo.shape, float(v)) for v in ends])
-        assert same_bits(got.bounds, _interval_products(m.bounds, full))
-        assert same_bits(got.lo, [[e.lo for e in row] for row in rows])
-        assert same_bits(got.hi, [[e.hi for e in row] for row in rows])
-        assert same_bits([got.const.lo, got.const.hi], [const.lo, const.hi])
+        assert check_unit_scale(outcome(lambda: _affine(m, c)), m, c, 0.0, outcome(lambda: reference.affine(m, c)))
+
+    @pytest.mark.parametrize("c", [1.0, -1.0])
+    def test_keeps_entries_the_product_cannot_round(self, c):
+        # the product rounds the largest float up past itself and raises
+        top = 1.7976931348623157e308
+        m = make_model(unit_domain(1, 2), [[(1.0, top), (-top, 5e-324)]])
+        assert not check_unit_scale(outcome(lambda: _affine(m, c)), m, c, 0.0, outcome(lambda: reference.affine(m, c)))
 
 
 def test_model_arrays_are_read_only():

@@ -1,0 +1,83 @@
+"""Write every deterministic output of isarith to a directory.
+
+    python3 tools/fingerprint.py OUT_DIR
+
+Imports isarith from src/ of the checkout this file sits in and writes the
+three `experiment sweep` CSVs, `experiment recursion --depth 8`, three
+`bound` outputs, `compare` on the showcase without its `wall_ms` column, and
+one line per task of the bench corpora of seeds 7 and 11: a digest of every
+model's matrix bits, constant and range, or the class of the exception.
+Run it on two checkouts; an empty `diff -r` of the two directories means no
+output changed.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import corpus  # noqa: E402  (bench/corpus.py, read only)
+from isarith import cli  # noqa: E402
+
+BOUNDS = (
+    (cli.SHOWCASE_EXPR, "x1=[0,10];x2=[0,20]", 100),
+    ("cot(x1+1)*x2^4 - 1/(x1-3) + exp(-x2)*sin(3*x1*x2)*cos(x3) + sqrt(x3+1)/(x2+2)",
+     "x1=[0,1];x2=[-1,2];x3=[0,4]", 8),
+    ("1-x1+x2*(2-x1)-(x2-3)", "x1=[-1,0];x2=[-0.5,0.5]", 4),
+)
+
+
+def run(argv) -> str:
+    """Standard output of one CLI call; a nonzero exit status is an error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(argv)
+    if status:
+        raise SystemExit(f"isarith {' '.join(argv)} exited with {status}")
+    return out.getvalue()
+
+
+def digest(task: corpus.Task) -> str:
+    """Digest of the models `isarith bound` builds for a task."""
+    h = hashlib.sha256()
+    try:
+        domain = cli.parse_domain_spec(task.spec, task.branches)
+        e = cli.parse_vector(task.texts, task.arity)
+        for m in cli.eval_ism(cli.self_compose(e, task.depth) if task.depth > 1 else e, domain):
+            rb = m.range_bounds()
+            ends = [m.const.lo, m.const.hi, rb.lo, rb.hi, *rb.row_lo, *rb.row_hi]
+            h.update(m.bounds.tobytes() + np.array(ends).tobytes())
+    except (ArithmeticError, ValueError, cli.RemainderCapExceeded) as err:  # typed failures
+        return type(err).__name__
+    return h.hexdigest()
+
+
+def main(out_dir: str) -> None:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    run(["experiment", "sweep", "--out", str(out)])
+    run(["experiment", "recursion", "--depth", "8", "--out", str(out / "recursion_k8.csv")])
+    for i, (text, spec, n) in enumerate(BOUNDS):
+        (out / f"bound_{i}.txt").write_text(run(["bound", "--expr", text, "--domain", spec, "-N", str(n)]))
+    showcase = ["--expr", cli.SHOWCASE_EXPR, "--domain", BOUNDS[0][1], "-N", "100"]
+    compare = run(["compare", *showcase]).splitlines()
+    if not compare[-2].endswith(",wall_ms"):
+        raise SystemExit("compare: wall_ms is no longer the last column")
+    lines = [s if s.startswith("#") else s.rsplit(",", 1)[0] for s in compare]
+    (out / "compare_no_wall_ms.csv").write_text("\n".join(lines) + "\n")
+    with open(out / "corpus.txt", "w", encoding="utf-8") as fh:
+        for seed in (7, 11):
+            for task in corpus.random_tasks(seed) + corpus.anchor_tasks():
+                fh.write(f"{seed} {task.name} {digest(task)}\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    main(sys.argv[1])
