@@ -202,6 +202,8 @@ def run_sweep(
     """Sweep the second axis top over a log grid for each first-axis top and
     record the overestimation distance per branch count plus the plain
     interval baseline.  One CSV per first-axis top."""
+    if points < 1:
+        raise ValueError(f"points must be positive, got {points}")
     e = parse(SHOWCASE_EXPR, 2)
     x2_tops = np.geomspace(0.1, 20.0, points)
     written: list[Path] = []
@@ -282,6 +284,8 @@ def run_recursion(
     describe.  The baseline chain iterates plain interval evaluation on its
     own boxes.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be positive, got {depth}")
     base = parse_vector(RECURSION_TEXTS, 3)
     # scanning enclosures is cheaper than sampling the image, so the scan
     # lattices get a smaller slice of the point budget

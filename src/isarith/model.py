@@ -13,6 +13,7 @@ function does not depend on is exactly [0, 0] in every branch.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -56,22 +57,30 @@ class DomainMismatch(ValueError):
 class Domain:
     """Box [lo_1, hi_1] x ... x [lo_n, hi_n] with N branches per axis.
 
-    Axes and branches are indexed from 0.  Branch j of axis i is
-    [lo_i + j*h_i, lo_i + (j+1)*h_i] with h_i = (hi_i - lo_i) / N; the last
-    branch ends exactly at the box endpoint rather than at an accumulated sum.
+    Axes and branches are indexed from 0.  ``grid[i]`` holds the N + 1 branch
+    endpoints of axis i, computed once: lo_i + j*((hi_i - lo_i)/N) clamped to
+    hi_i, with grid[i][0] = lo_i and grid[i][N] = hi_i exactly.  Branch j of
+    axis i is [grid[i][j], grid[i][j+1]].  The grid follows from the boxes
+    and N, so equality and hashing ignore it.
     """
 
     boxes: tuple[Interval, ...]
     branches: int
+    grid: tuple[tuple[float, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.boxes:
             raise ValueError("domain needs at least one axis")
         if self.branches < 1:
             raise ValueError(f"branch count must be positive, got {self.branches}")
+        grid = []
         for i, box in enumerate(self.boxes):
             if not box.lo < box.hi:
                 raise ValueError(f"axis {i} box [{box.lo}, {box.hi}] is degenerate")
+            x = box.lo + np.arange(1, self.branches) * ((box.hi - box.lo) / self.branches)
+            # min(x, hi) per point, keeping x on a tie of signed zeros as min does
+            grid.append((box.lo, *np.where(box.hi < x, box.hi, x).tolist(), box.hi))
+        object.__setattr__(self, "grid", tuple(grid))
 
     @classmethod
     def of(cls, bounds: Iterable[tuple[float, float] | Interval], branches: int) -> Domain:
@@ -82,21 +91,8 @@ class Domain:
     def dim(self) -> int:
         return len(self.boxes)
 
-    def step(self, axis: int) -> float:
-        box = self.boxes[axis]
-        return (box.hi - box.lo) / self.branches
-
-    def _grid(self, axis: int, j: int) -> float:
-        """j-th grid point of an axis, clamped so the grid stays inside the box."""
-        box = self.boxes[axis]
-        if j <= 0:
-            return box.lo
-        if j >= self.branches:
-            return box.hi
-        return min(box.lo + j * self.step(axis), box.hi)
-
     def branch_index(self, axis: int, x: float) -> int:
-        """Branch containing x: branches are half-open below the top endpoint.
+        """Branch containing x: the largest j < N with grid[axis][j] <= x.
 
         The grid point shared by branches j and j+1 belongs to branch j+1;
         the box's upper endpoint belongs to the last branch.
@@ -104,13 +100,7 @@ class Domain:
         box = self.boxes[axis]
         if not box.contains(x):
             raise OutOfDomain(f"{x} outside axis-{axis} box [{box.lo}, {box.hi}]")
-        j = int((x - box.lo) / self.step(axis))
-        j = min(max(j, 0), self.branches - 1)
-        while j > 0 and x < self._grid(axis, j):
-            j -= 1
-        while j < self.branches - 1 and x >= self._grid(axis, j + 1):
-            j += 1
-        return j
+        return min(bisect_right(self.grid[axis], x) - 1, self.branches - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,7 +205,7 @@ def init_variable(domain: Domain, axis: int) -> SuperpositionModel:
     branch intervals, every other row and the constant are zero."""
     if not 0 <= axis < domain.dim:
         raise IndexError(f"axis {axis} out of range for dimension {domain.dim}")
-    grid = np.array([domain._grid(axis, j) for j in range(domain.branches + 1)])
+    grid = np.array(domain.grid[axis])
     bounds = np.zeros((2, domain.dim, domain.branches))
     bounds[:, axis] = grid[:-1], grid[1:]
     return SuperpositionModel(domain, bounds)

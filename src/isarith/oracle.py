@@ -263,10 +263,10 @@ def hausdorff_piecewise(
     cells = cap**n
     if cells > budget:
         raise BudgetExceeded(f"{cells} branch cells exceed the budget {budget}")
-    ranges = (Interval(rb.lo, rb.hi) for rb in (mdl.range_bounds() for mdl in models))
+    # checked one at a time: a hull inside both lies inside their intersection
+    _check_hull(img, (Interval(rb.lo, rb.hi) for rb in (mdl.range_bounds() for mdl in models)))
     if clip is not None:
-        ranges = (Interval(max(r.lo, c.lo), min(r.hi, c.hi)) for r, c in zip(ranges, clip))
-    _check_hull(img, ranges)
+        _check_hull(img, clip)
     # every cell box at once, in the order of operations of a per-cell loop:
     # the constant, then rows 0..n-1 left to right, then the clip
     combos = np.indices((cap,) * n).reshape(n, -1)

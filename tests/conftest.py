@@ -67,7 +67,7 @@ def branch_interval(d, axis, j):
         raise IndexError(f"axis {axis} out of range for dimension {d.dim}")
     if not 0 <= j < d.branches:
         raise IndexError(f"branch {j} out of range for N={d.branches}")
-    return Interval(d._grid(axis, j), d._grid(axis, j + 1))
+    return Interval(d.grid[axis][j], d.grid[axis][j + 1])
 
 
 def unit_domain(n, branches):

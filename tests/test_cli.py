@@ -261,6 +261,15 @@ def test_grid_below_two_points_per_axis_exits_2(argv, grid, tmp_path, capsys):
     assert "cannot hold 2 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("argv,flag", [(_SWEEP, "--points"), (_RECURSION, "--depth")],
+                         ids=["sweep", "recursion"])
+def test_points_or_depth_below_one_exits_2(argv, flag, value, tmp_path, capsys):
+    assert main([a.format(tmp=tmp_path) for a in argv] + [flag, value]) == 2
+    assert f"{flag[2:]} must be positive, got {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_package_exports_every_module_name():
     modules = (interval, model, univariate, bivariate, expr, oracle)
     assert isarith.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import branch_interval, is_separable, make_model, row
-from isarith.interval import Interval
+from isarith.interval import Interval, IntervalError
 from isarith.model import Domain, OutOfDomain, init_constant, init_variable
 
 
@@ -88,6 +88,36 @@ class TestDomain:
         for a, b in zip(pieces, pieces[1:]):
             assert a.hi == b.lo  # adjacent branches share exactly one endpoint
 
+    # boxes the test above never draws: large magnitudes a few ulps wide,
+    # where several grid points coincide, and boxes out to +-1e300
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(
+                lambda sign, e, k: (sign * 10.0**e, sign * 10.0**e + k * math.ulp(10.0**e)),
+                st.sampled_from([-1.0, 1.0]), st.floats(10, 17), st.integers(1, 64),
+            ),
+            st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300))
+            .map(sorted).filter(lambda b: b[0] < b[1]),
+        ),
+        st.integers(1, 37),
+        st.lists(st.floats(0, 1), max_size=8),
+    )
+    @example((1e16, 1e16 + 4), 16, [])
+    @example((-1e300, 1e300), 7, [0.5])
+    def test_grid_and_lookup_on_collapsed_and_huge_boxes(self, box, cap, ts):
+        lo, hi = box
+        d = Domain.of([box], branches=cap)
+        grid = d.grid[0]
+        expected = [lo] + [min(lo + j * ((hi - lo) / cap), hi) for j in range(1, cap)] + [hi]
+        assert [v.hex() for v in grid] == [v.hex() for v in expected]
+        xs = {min(max(lo + t * (hi - lo), lo), hi) for t in ts}
+        for g in grid:
+            xs |= {math.nextafter(g, -math.inf), g, math.nextafter(g, math.inf)}
+        xs = [x for x in xs if lo <= x <= hi]
+        for x in xs:
+            assert d.branch_index(0, x) == max(j for j in range(cap) if grid[j] <= x)
+
 
 class TestInit:
     def test_variable_rows(self):
@@ -123,6 +153,20 @@ class TestInit:
         m = init_variable(d, 1)
         endpoints = [v for row in m.coeffs for e in row for v in (e.lo, e.hi)]
         assert len(endpoints) == 2 * 3 * 5
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize("entry", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (1.0, 0.5)],
+                             ids=["inf", "-inf", "nan", "inverted"])
+    def test_bad_entry_raises(self, entry):
+        d = Domain.of([(0, 1)], branches=2)
+        with pytest.raises(IntervalError):
+            make_model(d, [[(0.0, 1.0), entry]])
+
+    def test_bounds_are_read_only(self):
+        m = init_variable(Domain.of([(0, 1)], branches=2), 0)
+        with pytest.raises(ValueError):
+            m.bounds[0, 0, 0] = 5.0
 
 
 class TestRange:

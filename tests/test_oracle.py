@@ -462,6 +462,15 @@ class TestPiecewiseHausdorff:
             hausdorff_piecewise(img, models, budget=1000)
 
 
+    def test_clip_disjoint_from_a_range(self):
+        d = Domain.of([(0.0, 1.0)] * 2, branches=4)
+        models = (init_variable(d, 0), init_variable(d, 1))
+        img = sample_image(parse_vector(["x1", "x2"], 2), d.boxes, budget=100)
+        clip = [Interval(2, 3), Interval(0, 1)]
+        with pytest.raises(SoundnessViolation):
+            hausdorff_piecewise(img, models, clip=clip, budget=1000)
+
+
 class TestBruteForceRange:
     def test_worked_example(self):
         d = Domain.of([(0, 1), (0, 1)], branches=2)

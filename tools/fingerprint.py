@@ -6,7 +6,8 @@ Imports isarith from src/ of the checkout this file sits in and writes the
 three `experiment sweep` CSVs, `experiment recursion --depth 8`, three
 `bound` outputs, `compare` on the showcase without its `wall_ms` column, and
 one line per task of the bench corpora of seeds 7 and 11: a digest of every
-model's matrix bits, constant and range, or the class of the exception.
+model's matrix bits, constant and range and of its values at every branch
+endpoint of each axis and the box top, or the class of the exception.
 Run it on two checkouts; an empty `diff -r` of the two directories means no
 output changed.
 """
@@ -24,6 +25,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import corpus  # noqa: E402  (bench/corpus.py, read only)
 from isarith import cli  # noqa: E402
+from isarith.model import init_variable  # noqa: E402
 
 BOUNDS = (
     (cli.SHOWCASE_EXPR, "x1=[0,10];x2=[0,20]", 100),
@@ -43,16 +45,31 @@ def run(argv) -> str:
     return out.getvalue()
 
 
+def probe_points(domain) -> list[list[float]]:
+    """Every branch endpoint of each axis, then the box top, with the other
+    coordinates at their lower ends: a shared endpoint's value shows which
+    branch the lookup picked for it."""
+    base = [box.lo for box in domain.boxes]
+    points = []
+    for i, box in enumerate(domain.boxes):
+        for x in [*init_variable(domain, i).lo[i].tolist(), box.hi]:
+            points.append(base[:i] + [x] + base[i + 1 :])
+    return points
+
+
 def digest(task: corpus.Task) -> str:
-    """Digest of the models `isarith bound` builds for a task."""
+    """Digest of the models `isarith bound` builds for a task and of their
+    values at the probe points."""
     h = hashlib.sha256()
     try:
         domain = cli.parse_domain_spec(task.spec, task.branches)
         e = cli.parse_vector(task.texts, task.arity)
+        points = probe_points(domain)
         for m in cli.eval_ism(cli.self_compose(e, task.depth) if task.depth > 1 else e, domain):
             rb = m.range_bounds()
             ends = [m.const.lo, m.const.hi, rb.lo, rb.hi, *rb.row_lo, *rb.row_hi]
-            h.update(m.bounds.tobytes() + np.array(ends).tobytes())
+            values = [(v.lo, v.hi) for v in map(m.evaluate, points)]
+            h.update(m.bounds.tobytes() + np.array(ends).tobytes() + np.array(values).tobytes())
     except (ArithmeticError, ValueError, cli.RemainderCapExceeded) as err:  # typed failures
         return type(err).__name__
     return h.hexdigest()
