@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .interval import Interval, _interval_products, _mul_up, _sub_up, _sums
+from .interval import Interval, _add_down, _add_floats, _add_up, _interval_products, _mul_both
+from .interval import _mul_up, _quiet, _sub_up, _sums
 from .model import (
     DomainMismatch,
     SuperpositionModel,
     _affine,
     _midpoints_and_radii,
+    _model,
     _windows,
     _with_remainder,
     init_constant,
@@ -80,20 +82,19 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
     ca, ra = _midpoints_and_radii(rba)
     cb, rbb = _midpoints_and_radii(rbx)
 
-    alpha, beta = sum(ca, ma.const), sum(cb, mb.const)
+    alpha, beta = Interval(*_add_floats(ma.const, ca, ca)), Interval(*_add_floats(mb.const, cb, cb))
 
     active = [i for i in range(n) if ra[i] > 0.0 or rbb[i] > 0.0]
     if len(active) <= 1:
         remainder = 0.0
     else:
-        sum_a = Interval(0.0, 0.0)
-        sum_b = Interval(0.0, 0.0)
-        cross = Interval(0.0, 0.0)
+        # (sum_a * sum_b - cross).hi in intervals: radii are never negative
+        sum_a = sum_b = cross_lo = cross_hi = 0.0
         for i in active:
-            sum_a = sum_a + ra[i]
-            sum_b = sum_b + rbb[i]
-            cross = cross + Interval.point(ra[i]) * rbb[i]
-        remainder = max(0.0, (sum_a * sum_b - cross).hi)
+            sum_a, sum_b = _add_up(sum_a, ra[i]), _add_up(sum_b, rbb[i])
+            down, up = _mul_both(ra[i], rbb[i])
+            cross_lo, cross_hi = _add_down(cross_lo, down), _add_up(cross_hi, up)
+        remainder = max(0.0, _add_up(_mul_up(sum_a, sum_b), -cross_lo))
 
     cap = _mul_up(0.25, _mul_up(_sub_up(rba.hi, rba.lo), _sub_up(rbx.hi, rbx.lo)))
     if remainder > cap * (1.0 + _CAP_SLACK) + 1e-300:
@@ -105,12 +106,14 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
     )
 
 
+@_quiet
 def add_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:
     """Entrywise sum; exact up to outward rounding, no remainder."""
     _same_domain(ma, mb)
-    return SuperpositionModel(ma.domain, _sums(ma.bounds, mb.bounds), ma.const + mb.const)
+    return _model(ma.domain, _sums(ma.bounds, mb.bounds), ma.const + mb.const)
 
 
+@_quiet
 def mul_models(ma: SuperpositionModel, mb: SuperpositionModel) -> SuperpositionModel:
     """Product rule: alpha * beta as the constant, recentered window products
     minus alpha * beta in every row where a factor has width, zero rows

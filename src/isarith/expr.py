@@ -14,8 +14,9 @@ Grammar (whitespace insensitive)::
 NUMBER is a decimal literal with an optional exponent; `pi` and `e` fold to
 their double-precision values, which fixes the semantics of every evaluator.
 Exponents must be positive integer literals; write exp(q*log(x)) for anything
-else.  Constant subexpressions fold at parse time, so a binary node always has
-at most one constant operand and unary atoms never see constant children.
+else.  Parentheses and calls nest at most MAX_NESTING (200) levels.  Constant
+subexpressions fold at parse time, so a binary node always has at most one
+constant operand and unary atoms never see constant children.
 
 Nodes are interned by structure: syntactically repeated subexpressions are
 represented once and evaluated once.
@@ -325,89 +326,91 @@ _TOKEN = re.compile(
     rf"|(?P<num>{_NUMBER})"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>.)"
 )
+
+#: Deepest nesting of parentheses and function calls that parse accepts; at
+#: four frames a level it stays clear of Python's default recursion limit.
+MAX_NESTING = 200
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of text, closed by an end token at len(text)."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
         if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+            out.append((m.lastgroup, m.group(), m.start()))
+    out.append(("end", "end of input", len(text)))
     return out
 
 
 class _Parser:
     def __init__(self, text: str, arity: int, builder: _Builder):
-        self.text = text
         self.arity = arity
         self.builder = builder
         self.tokens = _tokenize(text)
         self.pos = 0
-
-    def _peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        self.depth = -1  # levels of nesting around the current factor
 
     def _take(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
         self.pos += 1
         return tok
 
+    def _op(self, ops: str) -> str | None:
+        """The next token if it is one of the operator characters ops, taken."""
+        kind, value, _ = self.tokens[self.pos]
+        if kind == "op" and value in ops:
+            self.pos += 1
+            return value
+        return None
+
     def _expect_op(self, op: str) -> None:
-        tok = self._peek()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            where = tok[2] if tok else len(self.text)
-            got = tok[1] if tok else "end of input"
+        if self._op(op) is None:
+            _, got, where = self.tokens[self.pos]
             raise ParseError(f"expected {op!r}, got {got!r}", where)
-        self.pos += 1
 
     def parse(self) -> int:
         nid = self.expr()
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        kind, value, where = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"trailing input {value!r}", where)
         return nid
 
     def expr(self) -> int:
         nid = self.term()
-        while (tok := self._peek()) and tok[0] == "op" and tok[1] in "+-":
-            self.pos += 1
-            rhs = self.term()
-            nid = self.builder.op("bin", "add" if tok[1] == "+" else "sub", nid, rhs)
+        while op := self._op("+-"):
+            nid = self.builder.op("bin", "add" if op == "+" else "sub", nid, self.term())
         return nid
 
     def term(self) -> int:
         nid = self.factor()
-        while (tok := self._peek()) and tok[0] == "op" and tok[1] in "*/":
-            self.pos += 1
-            rhs = self.factor()
-            nid = self.builder.op("bin", "mul" if tok[1] == "*" else "div", nid, rhs)
+        while op := self._op("*/"):
+            nid = self.builder.op("bin", "mul" if op == "*" else "div", nid, self.factor())
         return nid
 
     def factor(self) -> int:
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.pos += 1
-            return self.builder.op("un", "neg", self.factor())
-        return self.power()
-
-    def power(self) -> int:
+        # leading minuses are counted, not nested, and apply after any ^
+        negations = 0
+        while self._op("-"):
+            negations += 1
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels", self.tokens[self.pos][2])
         nid = self.atom()
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.pos += 1
-            etok = self._peek()
-            if etok is None or etok[0] != "num" or not etok[1].isdigit() or int(etok[1]) < 1:
-                where = etok[2] if etok else len(self.text)
+        self.depth -= 1
+        if self._op("^"):
+            kind, value, where = self.tokens[self.pos]
+            if kind != "num" or not value.isdigit() or int(value) < 1:
                 raise ParseError("exponent must be a positive integer literal", where)
             self.pos += 1
-            nid = self.builder.op("pow", int(etok[1]), nid)
+            nid = self.builder.op("pow", int(value), nid)
+        for _ in range(negations):
+            nid = self.builder.op("un", "neg", nid)
         return nid
 
     def atom(self) -> int:

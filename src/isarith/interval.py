@@ -78,7 +78,10 @@ def _steps(x: float, k: int, direction: float) -> float:
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
-    # Knuth's branch-free 2Sum: a + b == s + err exactly.
+    # Knuth's branch-free 2Sum: a + b == s + err exactly.  err is NaN where s
+    # overflows, or where s is finite but a step on the way overflows (Boldo,
+    # Graillat & Muller, ACM TOMS 2017); the directed sums then step outward,
+    # and one step from the rounded-to-nearest s bounds the exact sum.
     s = a + b
     bv = s - a
     err = (a - (s - bv)) + (b - bv)
@@ -91,8 +94,6 @@ def _two_prod(a: float, b: float) -> tuple[float, float | None]:
     p = a * b
     if p == 0.0:
         return p, (0.0 if (a == 0.0 or b == 0.0) else None)
-    if not math.isfinite(p):
-        return p, None
     if abs(p) < 1e-290 or abs(a) > _SPLIT_LIMIT or abs(b) > _SPLIT_LIMIT:
         return p, None
     c = _SPLITTER * a
@@ -102,32 +103,38 @@ def _two_prod(a: float, b: float) -> tuple[float, float | None]:
     bhi = d - (d - b)
     blo = b - bhi
     err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    if not math.isfinite(err):  # an intermediate product overflowed
+    if not math.isfinite(err):  # a product or an intermediate one overflowed
         return p, None
     return p, err
 
 
 def _add_down(a: float, b: float) -> float:
     s, e = _two_sum(a, b)
-    _require_finite(s, "sum")
-    return _down(s) if e < 0 else s
+    return s if e >= 0 else _down(_require_finite(s, "sum"))
 
 
 def _add_up(a: float, b: float) -> float:
     s, e = _two_sum(a, b)
-    _require_finite(s, "sum")
-    return _up(s) if e > 0 else s
+    return s if e <= 0 else _up(_require_finite(s, "sum"))
 
 
 def _sub_up(a: float, b: float) -> float:
     return _add_up(a, -b)
 
 
+def _add_floats(x: Interval, los, his) -> tuple[float, float]:
+    """x.lo plus each of los rounded down, x.hi plus each of his up: x + v, repeated."""
+    lo, hi = x.lo, x.hi
+    for a, b in zip(los, his):
+        lo, hi = _add_down(lo, a), _add_up(hi, b)
+    return lo, hi
+
+
 def _mul_both(a: float, b: float) -> tuple[float, float]:
     """a * b rounded down and up, from one TwoProduct."""
     p, e = _two_prod(a, b)
-    _require_finite(p, "product")
     if e is None:
+        _require_finite(p, "product")
         # a product that underflowed to zero is bounded by 0 on its sign's side
         if p == 0.0:
             return (0.0, _up(p)) if (a > 0.0) == (b > 0.0) else (_down(p), 0.0)
@@ -211,16 +218,6 @@ class Interval:
     def diam(self) -> float:
         """Diameter hi - lo, rounded up."""
         return _sub_up(self.hi, self.lo)
-
-    @property
-    def mid(self) -> float:
-        """A midpoint guaranteed to lie inside the interval."""
-        m = self.lo + 0.5 * (self.hi - self.lo)
-        if m < self.lo:
-            return self.lo
-        if m > self.hi:
-            return self.hi
-        return m
 
     def mag(self) -> float:
         """Largest absolute value over the interval."""
@@ -366,11 +363,19 @@ class Interval:
 #: (2, n, N) array.
 _SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
 _DIRS = _SIGNS * _INF
+_MIRROR = -_SIGNS[..., None]
 
 
 def _stacked(lo: float, hi: float) -> np.ndarray:
     """Two endpoints shaped to pair with a stacked (2, n, N) array."""
-    return np.array([[[lo]], [[hi]]], dtype=float)
+    return np.array((lo, hi)).reshape(2, 1, 1)
+
+
+def _quiet(rule):
+    """rule run with numpy's overflow and invalid warnings off.  The helpers
+    below leave both to their caller and check for them; every model rule
+    that runs them is wrapped in this."""
+    return np.errstate(over="ignore", invalid="ignore")(rule)
 
 
 def _finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -379,87 +384,78 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _round_sums(a, b, direction) -> np.ndarray:
-    """a + b rounded toward direction (-inf, inf, or _DIRS); an overflowing
-    entry is left infinite for the caller to check.  An exact sum has a zero
-    error term, and 0 * inf is NaN, which compares False."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = a + b
-        bv = s - a
-        err = (a - (s - bv)) + (b - bv)
-        return np.where(err * direction > 0.0, np.nextafter(s, direction), s)
+def _round_sums(a, b, sign) -> np.ndarray:
+    """a + b rounded toward sign * inf (sign -1.0, 1.0 or _SIGNS) as _add_down
+    and _add_up round.  An overflowing entry is left non-finite for the caller
+    to check: its step goes toward s + sign * inf, NaN where s is the
+    infinity of the other direction."""
+    s = a + b
+    bv = s - a
+    err = (a - (s - bv)) + (b - bv)
+    toward = s + (_DIRS if sign is _SIGNS else sign * _INF)
+    return np.nextafter(s, toward, out=s, where=~(err * sign <= 0.0))
 
 
 def _sums(a, b) -> np.ndarray:
     """Stacked a + b: the lower half rounded down, the upper half up."""
-    return _finite(_round_sums(a, b, _DIRS), "sum")
+    return _finite(_round_sums(a, b, _SIGNS), "sum")
 
 
-def _two_prods(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_two_prod entrywise: the products, their error terms, and the mask of
-    the entries where _two_prod returns None."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = a * b
-        c = _SPLITTER * a
-        ahi = c - (c - a)
-        alo = a - ahi
-        d = _SPLITTER * b
-        bhi = d - (d - b)
-        blo = b - bhi
-        err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-        zero = (a == 0.0) | (b == 0.0)
-        untrusted = (np.abs(p) < 1e-290) | ~np.isfinite(p) | ~np.isfinite(err)
-        untrusted |= (np.abs(a) > _SPLIT_LIMIT) | (np.abs(b) > _SPLIT_LIMIT)
-    return p, np.where(zero, 0.0, err), untrusted & ~zero
+def _two_prods(a: np.ndarray, b: np.ndarray | float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_two_prod entrywise: the products, their error terms (non-finite where
+    a product is), and the mask of the entries where _two_prod returns None."""
+    p = a * b
+    c = _SPLITTER * a
+    ahi = c - (c - a)
+    alo = a - ahi
+    d = _SPLITTER * b
+    bhi = d - (d - b)
+    blo = b - bhi
+    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+    zero = (a == 0.0) | (b == 0.0)
+    trusted = np.isfinite(err) & (np.abs(p) >= 1e-290)
+    trusted &= np.maximum(np.abs(a), np.abs(b)) <= _SPLIT_LIMIT
+    return p, np.where(zero, 0.0, err), ~(trusted | zero)
 
 
-def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_mul_both entrywise, unchecked for a rounding step past the largest
-    float; entries without a trusted error term use the scalar rule."""
+def _products(a: np.ndarray, b: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """_mul_both entrywise, b an array or one float, unchecked for a rounding
+    step past the largest float; entries without a trusted error term use the
+    scalar rule."""
     p, err, untrusted = _two_prods(a, b)
     _finite(p, "product")
-    with np.errstate(over="ignore"):
-        down = np.where(err < 0.0, np.nextafter(p, -_INF), p)
-        up = np.where(err > 0.0, np.nextafter(p, _INF), p)
+    down = np.nextafter(p, -_INF, where=err < 0.0, out=p.copy())
+    up = np.nextafter(p, _INF, where=err > 0.0, out=p)
     if untrusted.any():
+        a, b = np.broadcast_arrays(a, b)
         pairs = map(_mul_both, a[untrusted].tolist(), b[untrusted].tolist())
         down[untrusted], up[untrusted] = zip(*pairs)
     return down, up
 
 
-def _quotients(a: float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_div_down and _div_up of a by every entry of b, unchecked for a rounding
-    step past the largest float: the sign of the exact residual a - q*b, as in
-    _quotient_side, with Fraction only where TwoProduct is untrusted."""
-    with np.errstate(over="ignore"):
-        q = _finite(a / b, "quotient")
+def _outward_quotients(a: float, b: np.ndarray) -> np.ndarray:
+    """a over the stacked b, the lower half rounded down and the upper half
+    up, checked: the sign of the exact residual a - q*b, as in _quotient_side,
+    with the scalar rule only where TwoProduct is untrusted."""
+    q = _finite(a / b, "quotient")
     p, err, untrusted = _two_prods(q, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        side = np.sign((a - p) - err) * np.sign(b)
-        down = np.where(side < 0.0, np.nextafter(q, -_INF), q)
-        up = np.where(side > 0.0, np.nextafter(q, _INF), q)
-    if untrusted.any():
-        divisors = b[untrusted].tolist()
-        down[untrusted] = [_div_down(a, y) for y in divisors]
-        up[untrusted] = [_div_up(a, y) for y in divisors]
-    return down, up
-
-
-def _outward(down: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """The lower half of down stacked on the upper half of up, checked."""
-    return _finite(np.stack((down[0], up[1])), "rounding")
+    side = np.sign((a - p) - err) * np.sign(b)
+    np.nextafter(q, _DIRS, out=q, where=side * _SIGNS > 0.0)
+    for half, rule in ((0, _div_down), (1, _div_up)):
+        if untrusted[half].any():
+            q[half][untrusted[half]] = [rule(a, y) for y in b[half][untrusted[half]].tolist()]
+    return _finite(q, "rounding")
 
 
 def _interval_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Interval.__mul__ entrywise over stacked arrays: four directed products
     per entry, their minimum and maximum taken in the scalar rule's order."""
-    down, up = _products(a[[0, 0, 1, 1]], b[[0, 1, 0, 1]])
-    down, up = _finite(down, "rounding"), _finite(up, "rounding")
-    lo, hi = down[0], up[0]
+    # the lower ends and the negated upper ends, so that one minimum picks both
+    ends = _finite(np.array(_products(a[[0, 0, 1, 1]], b[[0, 1, 0, 1]])) * _MIRROR, "rounding")
+    out = ends[:, 0]
     for k in (1, 2, 3):
-        lo = np.where(down[k] < lo, down[k], lo)
-        hi = np.where(up[k] > hi, up[k], hi)
-    return np.stack((lo, hi))
+        out = np.where(ends[:, k] < out, ends[:, k], out)
+    return out * _MIRROR[:, 0]
 
 
 def _first(mask: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -473,9 +469,8 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
 
 
 def _steps_arrays(x: np.ndarray, k: int, direction) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        for _ in range(k):
-            x = np.nextafter(x, direction)
+    for _ in range(k):
+        x = np.nextafter(x, direction)
     return _finite(x, "rounding")
 
 
@@ -483,9 +478,8 @@ def _reaches(b: np.ndarray, limit: float) -> np.ndarray:
     """Entries as wide as limit: a width past the largest float, or a diam
     (rounded up) of at least limit."""
     lo, hi = b
-    with np.errstate(over="ignore"):
-        past = np.isinf(hi - lo)
-    diam = _round_sums(hi, -lo, _INF)
+    past = np.isinf(hi - lo)
+    diam = _round_sums(hi, -lo, 1.0)
     if (np.isinf(diam) & ~past).any():
         raise OverflowError("rounding up overflowed to a non-finite value")
     return past | (diam >= limit)
@@ -501,15 +495,11 @@ def _has_grid_points(lo, hi, offset, period: float) -> np.ndarray:
 
 def _sqr_arrays(b):
     lo, hi = b
-    pos = lo >= 0.0
-    neg = ~pos & (hi <= 0.0)
-    # the endpoint each square is taken of; a zero-spanning entry's lower end
-    # squares 0.0, which is the scalar rule's 0.0
-    base = np.stack((
-        np.where(pos, lo, np.where(neg, hi, 0.0)),
-        np.where(pos, hi, np.where(neg, lo, np.where(hi > -lo, hi, -lo))),
-    ))
-    out = _outward(*_products(base, base))
+    # squared per half: the point nearest zero (0.0 in a zero-spanning entry,
+    # as in the scalar rule) and the farther endpoint; squares ignore signs
+    base = np.array((np.minimum(np.maximum(lo, 0.0), hi), np.maximum(-lo, hi)))
+    down, up = _products(base, base)
+    out = _finite(np.array((down[0], up[1])), "rounding")
     out[0] = np.where(out[0] > 0.0, out[0], 0.0)
     return out
 
@@ -518,7 +508,7 @@ def _inv_arrays(b):
     spans = (b[0] <= 0.0) & (b[1] >= 0.0)
     if spans.any():
         raise ZeroInDomain("reciprocal of [{}, {}] spans zero".format(*_first(spans, b)))
-    return _outward(*_quotients(1.0, b[::-1]))
+    return _outward_quotients(1.0, b[::-1])
 
 
 def _exp_arrays(b):
@@ -540,7 +530,7 @@ def _periodic_arrays(b, f, trough: float, peak: float):
     minimum (lower half) or maximum (upper half) at trough or peak + 2k*pi."""
     v = _libm(f, b)
     lower, upper = np.where(v[1] < v[0], v[1], v[0]), np.where(v[1] > v[0], v[1], v[0])
-    ends = _steps_arrays(np.stack((lower, upper)), ULP_MARGIN, _DIRS)
+    ends = _steps_arrays(np.array((lower, upper)), ULP_MARGIN, _DIRS)
     extreme = _reaches(b, math.tau) | _has_grid_points(*b, _stacked(trough, peak), math.tau)
     return np.where(extreme | (ends * _SIGNS >= 1.0), _SIGNS, ends)
 

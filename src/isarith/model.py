@@ -20,14 +20,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .interval import (
-    _INF,
     _SIGNS,
     Interval,
     IntervalError,
     _add_down,
+    _add_floats,
     _add_up,
     _finite,
     _interval_products,
+    _products,
+    _quiet,
     _round_sums,
     _stacked,
     _sub_up,
@@ -128,6 +130,7 @@ class SuperpositionModel:
     Constant terms go to ``const`` only, so a row the function does not
     depend on stays exactly [0, 0] through any chain of operations, and a
     model that depends on one coordinate stays separable.
+    The constructor checks and copies the matrix; rules build with _model.
     """
 
     domain: Domain
@@ -137,7 +140,7 @@ class SuperpositionModel:
 
     def __post_init__(self) -> None:
         shape = (2, self.domain.dim, self.domain.branches)
-        b = np.asarray(self.bounds, dtype=float)
+        b = np.array(self.bounds, dtype=float)
         if b.shape != shape:
             raise ValueError(f"coefficient bounds have shape {b.shape}, domain needs {shape}")
         b.flags.writeable = False  # rules share matrices between models
@@ -163,14 +166,6 @@ class SuperpositionModel:
     def branches(self) -> int:
         return self.domain.branches
 
-    @property
-    def coeffs(self) -> tuple[tuple[Interval, ...], ...]:
-        """The coefficient matrix as rows of Interval values (a copy)."""
-        return tuple(
-            tuple(Interval(a, b) for a, b in zip(row_lo, row_hi))
-            for row_lo, row_hi in zip(self.lo.tolist(), self.hi.tolist())
-        )
-
     def range_bounds(self) -> RangeBounds:
         """Exact model range via per-row extrema (outward-rounded sums); each
         extremum is the first of equal values in its row, as min and max pick.
@@ -179,11 +174,7 @@ class SuperpositionModel:
             rows = np.arange(self.dim)
             row_lo = tuple(self.lo[rows, self.lo.argmin(axis=1)].tolist())
             row_hi = tuple(self.hi[rows, self.hi.argmax(axis=1)].tolist())
-            lo = self.const.lo
-            hi = self.const.hi
-            for a, b in zip(row_lo, row_hi):
-                lo = _add_down(lo, a)
-                hi = _add_up(hi, b)
+            lo, hi = _add_floats(self.const, row_lo, row_hi)
             object.__setattr__(self, "_range", RangeBounds(lo, hi, row_lo, row_hi))
         return self._range
 
@@ -198,6 +189,15 @@ class SuperpositionModel:
             lo = _add_down(lo, self.lo.item(i, j))
             hi = _add_up(hi, self.hi.item(i, j))
         return Interval(lo, hi)
+
+
+def _model(domain: Domain, bounds: np.ndarray, const: Interval) -> SuperpositionModel:
+    """A rule's result, unchecked: bounds is finite, ordered and the rule's own or shared."""
+    m = object.__new__(SuperpositionModel)
+    bounds.flags.writeable = False
+    for name, value in (("domain", domain), ("bounds", bounds), ("const", const), ("_range", None)):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def init_variable(domain: Domain, axis: int) -> SuperpositionModel:
@@ -218,6 +218,7 @@ def init_constant(domain: Domain, c: float) -> SuperpositionModel:
     return SuperpositionModel(domain, np.zeros((2, domain.dim, domain.branches)), Interval.point(c))
 
 
+@_quiet
 def _affine(
     m: SuperpositionModel, scale: float | Interval, shift: float | Interval = 0.0
 ) -> SuperpositionModel:
@@ -225,32 +226,31 @@ def _affine(
 
     A point scale of 1 or -1 is exact with no rounding at all: 1 shares the
     read-only matrix and moves only the constant, and -1 mirrors the matrix
-    and the constant as negation does.  Every other scale multiplies each
-    entry by the interval product rule.
+    and the constant as negation does.  Any other point scale takes one directed
+    product per entry, its ends picked as the product rule picks them.
     """
     c_lo, c_hi = (scale.lo, scale.hi) if isinstance(scale, Interval) else (scale, scale)
     if c_lo == c_hi == 1.0:
-        return SuperpositionModel(m.domain, m.bounds, m.const + shift)
+        return _model(m.domain, m.bounds, m.const + shift)
     if c_lo == c_hi == -1.0:
-        return SuperpositionModel(m.domain, -m.bounds[::-1], -m.const + shift)
-    bounds = _interval_products(m.bounds, np.broadcast_to(_stacked(c_lo, c_hi), m.bounds.shape))
-    return SuperpositionModel(m.domain, bounds, m.const * scale + shift)
+        return _model(m.domain, -m.bounds[::-1], -m.const + shift)
+    if c_lo != c_hi or c_lo == 0.0:  # [-0.0, 0.0] is no point for that rule
+        bounds = _interval_products(m.bounds, np.broadcast_to(_stacked(c_lo, c_hi), m.bounds.shape))
+    else:
+        down, up = _products(m.bounds, c_lo)
+        pair = np.where(down[1] < down[0], down[1], down[0]), np.where(up[1] > up[0], up[1], up[0])
+        bounds = _finite(np.array(pair), "rounding")
+    return _model(m.domain, bounds, m.const * scale + shift)
 
 
 def _midpoints_and_radii(rb: RangeBounds) -> tuple[list[float], list[float]]:
     """Midpoint of every row hull and the upward-rounded distance from it to
     the farther hull endpoint; a degenerate row is centered on its single
     value with radius exactly zero."""
-    centers: list[float] = []
-    radii: list[float] = []
-    for lo, hi in zip(rb.row_lo, rb.row_hi):
-        if lo == hi:
-            centers.append(lo)
-            radii.append(0.0)
-        else:
-            a = min(max(lo + 0.5 * (hi - lo), lo), hi)
-            centers.append(a)
-            radii.append(max(_sub_up(hi, a), _sub_up(a, lo)))
+    rows = list(zip(rb.row_lo, rb.row_hi))
+    centers = [lo if lo == hi else min(max(lo + 0.5 * (hi - lo), lo), hi) for lo, hi in rows]
+    radii = [0.0 if lo == hi else max(_sub_up(hi, a), _sub_up(a, lo))
+             for (lo, hi), a in zip(rows, centers)]
     return centers, radii
 
 
@@ -277,8 +277,8 @@ def _with_remainder(
         full[:, rows] = bounds
         bounds = full
     if r > 0.0:
-        diams = _finite(_round_sums(bounds[1], -bounds[0], _INF), "sum").tolist()
+        diams = _finite(_round_sums(bounds[1], -bounds[0], 1.0), "sum").tolist()
         avg_diam = [sum(row) / len(row) for row in diams]
         k = max(range(len(diams)), key=lambda i: (avg_diam[i], -i))
         bounds[:, k : k + 1] = _sums(bounds[:, k : k + 1], r * _SIGNS)
-    return SuperpositionModel(m.domain, bounds, const)
+    return _model(m.domain, bounds, const)

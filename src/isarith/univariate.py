@@ -20,12 +20,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .interval import _ARRAY_RULES, PI_HALF, DomainViolation, Interval, ZeroInDomain, _sub_up
+from .interval import _ARRAY_RULES, PI_HALF, DomainViolation, Interval, ZeroInDomain, _add_floats
+from .interval import _quiet, _sub_up
 from .model import (
     RangeBounds,
     SuperpositionModel,
     _affine,
     _midpoints_and_radii,
+    _model,
     _windows,
     _with_remainder,
 )
@@ -112,7 +114,7 @@ def central_points(g: Atom, m: SuperpositionModel) -> CompositionWorkspace:
                 raise DomainViolation("reciprocal center undefined: range endpoints cancel")
             centers[i] = _clamp((lo * rb.hi + hi * rb.lo) / (rb.lo + rb.hi), lo, hi)
 
-    omega = sum(centers, m.const)
+    omega = Interval(*_add_floats(m.const, centers, centers))
 
     spreads = tuple(
         _spread(g, lo, hi, a, rad, omega)
@@ -237,6 +239,7 @@ def remainder_bound(g: Atom, m: SuperpositionModel, w: CompositionWorkspace) -> 
     return (chain * bracket + cross).mag()
 
 
+@_quiet
 def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
     """Model of g applied to the function the input model encloses.
 
@@ -247,7 +250,7 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
     and adds the remainder bound to the row with the widest entries.
     """
     if g is Atom.NEG:
-        return SuperpositionModel(m.domain, -m.bounds[::-1], -m.const)
+        return _model(m.domain, -m.bounds[::-1], -m.const)
 
     rb = m.range_bounds()
     _check_atom_domain(g, rb)

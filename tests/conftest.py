@@ -35,9 +35,23 @@ def make_model(domain, rows, const=(0.0, 0.0)):
     return SuperpositionModel(domain, bounds, Interval(*const))
 
 
+def coeffs(m):
+    """A model's coefficient matrix as rows of Interval values."""
+    return tuple(
+        tuple(Interval(a, b) for a, b in zip(row_lo, row_hi))
+        for row_lo, row_hi in zip(m.lo.tolist(), m.hi.tolist())
+    )
+
+
 def row(m, i):
     """Row i of a model's coefficient matrix as Interval values."""
-    return m.coeffs[i]
+    return coeffs(m)[i]
+
+
+def mid(iv):
+    """A midpoint guaranteed to lie inside the interval."""
+    m = iv.lo + 0.5 * (iv.hi - iv.lo)
+    return min(max(m, iv.lo), iv.hi)
 
 
 def is_separable(m):

@@ -3,9 +3,11 @@
 These are the rules as they ran before the coefficient matrices became
 arrays: every coefficient an `Interval`, every entry its own scalar
 operation.  `tests/test_array_models.py` checks the array rules against them
-bit for bit.  The O(n) scalar work (range bounds, central points, remainder
-bounds, product workspaces) is shared with the program where it was scalar
-there too; only the per-entry part is written out here.
+bit for bit.  The scalar work the program runs on float endpoints is written
+here as it ran before, one `Interval` operation at a time: the per-row
+midpoints and radii, the constant plus the row centers, and the product
+workspace; the spreads, the remainder bounds and the atom domain check are
+shared with the program.
 
 Each rule returns (rows, const): a list of rows of `Interval` and the
 constant.  `model` turns such a pair back into a model for the next rule.
@@ -20,12 +22,12 @@ import math
 
 import numpy as np
 
-from conftest import admissible_offsets, defect_noise_floor, defect_values, make_model
-from isarith.bivariate import product_workspace
-from isarith.interval import Interval, _add_down, _add_up, _sub_up
+from conftest import admissible_offsets, coeffs, defect_noise_floor, defect_values, make_model, mid
+from isarith.bivariate import _CAP_SLACK, ProductWorkspace, RemainderCapExceeded
+from isarith.interval import DomainViolation, Interval, _add_down, _add_up, _mul_up, _sub_up
 from isarith.model import RangeBounds
 from isarith.oracle import DEFAULT_BUDGET, BudgetExceeded
-from isarith.univariate import Atom, _check_atom_domain, central_points, remainder_bound
+from isarith.univariate import Atom, CompositionWorkspace, _check_atom_domain, _clamp, _spread, remainder_bound
 
 ZERO = Interval(0.0, 0.0)
 
@@ -35,7 +37,7 @@ def model(domain, rows, const):
 
 
 def range_bounds(m):
-    rows = m.coeffs
+    rows = coeffs(m)
     row_lo = tuple(min(e.lo for e in row) for row in rows)
     row_hi = tuple(max(e.hi for e in row) for row in rows)
     lo, hi = m.const.lo, m.const.hi
@@ -55,12 +57,12 @@ def with_remainder(rows, const, r):
 
 
 def add(ma, mb):
-    rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(ma.coeffs, mb.coeffs)]
+    rows = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(coeffs(ma), coeffs(mb))]
     return rows, ma.const + mb.const
 
 
 def affine(m, scale, shift=0.0):
-    return [[e * scale for e in row] for row in m.coeffs], m.const * scale + shift
+    return [[e * scale for e in row] for row in coeffs(m)], m.const * scale + shift
 
 
 def scalar_affine(m, c, d=0.0):
@@ -69,9 +71,81 @@ def scalar_affine(m, c, d=0.0):
     return affine(m, c, d)
 
 
+def midpoints_and_radii(rb):
+    """model._midpoints_and_radii as a loop over the rows."""
+    centers, radii = [], []
+    for lo, hi in zip(rb.row_lo, rb.row_hi):
+        if lo == hi:
+            centers.append(lo)
+            radii.append(0.0)
+        else:
+            a = min(max(lo + 0.5 * (hi - lo), lo), hi)
+            centers.append(a)
+            radii.append(max(_sub_up(hi, a), _sub_up(a, lo)))
+    return centers, radii
+
+
+def central_points(g, m):
+    """univariate.central_points with the constant summed one Interval
+    operation at a time."""
+    rb = m.range_bounds()
+    centers, radii = midpoints_and_radii(rb)
+    for i, (lo, hi) in enumerate(zip(rb.row_lo, rb.row_hi)):
+        if lo == hi:
+            continue
+        if g is Atom.EXP:
+            # math.exp raises OverflowError past the largest float
+            centers[i] = _clamp(math.log(0.5 * (math.exp(hi) + math.exp(lo))), lo, hi)
+        elif g is Atom.INV:
+            if rb.lo + rb.hi == 0.0:
+                raise DomainViolation("reciprocal center undefined: range endpoints cancel")
+            centers[i] = _clamp((lo * rb.hi + hi * rb.lo) / (rb.lo + rb.hi), lo, hi)
+
+    omega = sum(centers, m.const)
+
+    spreads = tuple(
+        _spread(g, lo, hi, a, rad, omega)
+        for lo, hi, a, rad in zip(rb.row_lo, rb.row_hi, centers, radii)
+    )
+    return CompositionWorkspace(tuple(centers), omega, spreads)
+
+
+def product_workspace(ma, mb):
+    """bivariate.product_workspace one Interval operation at a time."""
+    n = ma.dim
+    rba = ma.range_bounds()
+    rbx = mb.range_bounds()
+    ca, ra = midpoints_and_radii(rba)
+    cb, rbb = midpoints_and_radii(rbx)
+
+    alpha, beta = sum(ca, ma.const), sum(cb, mb.const)
+
+    active = [i for i in range(n) if ra[i] > 0.0 or rbb[i] > 0.0]
+    if len(active) <= 1:
+        remainder = 0.0
+    else:
+        sum_a = Interval(0.0, 0.0)
+        sum_b = Interval(0.0, 0.0)
+        cross = Interval(0.0, 0.0)
+        for i in active:
+            sum_a = sum_a + ra[i]
+            sum_b = sum_b + rbb[i]
+            cross = cross + Interval.point(ra[i]) * rbb[i]
+        remainder = max(0.0, (sum_a * sum_b - cross).hi)
+
+    cap = _mul_up(0.25, _mul_up(_sub_up(rba.hi, rba.lo), _sub_up(rbx.hi, rbx.lo)))
+    if remainder > cap * (1.0 + _CAP_SLACK) + 1e-300:
+        raise RemainderCapExceeded(
+            f"product remainder {remainder} exceeds the quarter-width cap {cap}"
+        )
+    return ProductWorkspace(
+        tuple(ca), tuple(cb), alpha, beta, tuple(ra), tuple(rbb), remainder
+    )
+
+
 def compose(g, m):
     if g is Atom.NEG:
-        return [[-e for e in row] for row in m.coeffs], -m.const
+        return [[-e for e in row] for row in coeffs(m)], -m.const
     rb = range_bounds(m)
     _check_atom_domain(g, rb)
     w = central_points(g, m)
@@ -80,7 +154,7 @@ def compose(g, m):
     g_omega = apply(w.omega)
     rows = [
         [apply((e - a) + w.omega) - g_omega for e in row] if lo < hi else [ZERO] * m.branches
-        for row, a, lo, hi in zip(m.coeffs, w.centers, rb.row_lo, rb.row_hi)
+        for row, a, lo, hi in zip(coeffs(m), w.centers, rb.row_lo, rb.row_hi)
     ]
     return with_remainder(rows, g_omega, r)
 
@@ -89,7 +163,7 @@ def mul(ma, mb):
     w = product_workspace(ma, mb)
     const = w.alpha * w.beta
     rows = []
-    for i, (row_a, row_b) in enumerate(zip(ma.coeffs, mb.coeffs)):
+    for i, (row_a, row_b) in enumerate(zip(coeffs(ma), coeffs(mb))):
         a_i, b_i = w.centers_a[i], w.centers_b[i]
         if w.radii_a[i] == 0.0 and w.radii_b[i] == 0.0:
             rows.append([ZERO] * ma.branches)
@@ -142,6 +216,6 @@ def remainder_violation_search(g, m, trials=10_000, seed=0):
     w = central_points(g, m)
     r = remainder_bound(g, m, w)
     deltas = admissible_offsets(m, w.centers, np.random.default_rng(seed), trials)
-    omega = w.omega.mid
+    omega = mid(w.omega)
     resolution = defect_noise_floor(g, omega, deltas) / 2
     return float(defect_values(g, omega, deltas).max() - resolution) - r

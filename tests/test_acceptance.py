@@ -17,7 +17,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import admissible_offsets, defect_values, random_model_for_atom, random_separable_model
+from conftest import (
+    admissible_offsets,
+    coeffs,
+    defect_values,
+    mid,
+    random_model_for_atom,
+    random_separable_model,
+)
 from isarith.bivariate import product_workspace
 from isarith.cli import RunConfig, run_compare, run_recursion, run_sweep
 from isarith.expr import _walk, eval_interval, eval_ism, eval_points, parse, to_text
@@ -335,7 +342,7 @@ def test_c5_worst_draws_hold_in_exact_arithmetic():
                 w = central_points(atom, m)
                 r = remainder_bound(atom, m, w)
                 deltas = admissible_offsets(m, w.centers, np.random.default_rng(SEED + trial), 10_000)
-                omega = w.omega.mid
+                omega = mid(w.omega)
                 defects = defect_values(atom, omega, deltas)
                 om = mpmath.mpf(omega)
                 for d in deltas[np.argsort(defects)[-20:]]:
@@ -387,7 +394,7 @@ def test_c8_separable_diameter_halves_with_branching():
     for cap in (8, 16, 32, 64):
         d = Domain.of([(0.0, 2 * math.pi)] * 3, branches=cap)
         m = eval_ism(e, d)[0]
-        diams.append(sum(max(entry.diam for entry in row) for row in m.coeffs))
+        diams.append(sum(max(entry.diam for entry in row) for row in coeffs(m)))
     ratios = [diams[i] / diams[i + 1] for i in range(3)]
     decreasing = all(a > b for a, b in zip(diams, diams[1:]))
     in_window = all(1.7 <= q <= 2.3 for q in ratios)

@@ -8,13 +8,14 @@ endpoints and the constant as raw bits, so a -0.0 where the scalar rule gives
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import reference
-from conftest import make_model, random_model_for_atom, unit_domain
-from isarith.bivariate import add_models, mul_models, scalar_affine
+from conftest import coeffs, make_model, random_model_for_atom, unit_domain
+from isarith.bivariate import add_models, mul_models, product_workspace, scalar_affine
 from isarith.interval import (
     _ARRAY_RULES,
     _SPLIT_LIMIT,
@@ -24,11 +25,12 @@ from isarith.interval import (
     _add_down,
     _add_up,
     _interval_products,
+    _quiet,
     _steps_arrays,
     _sums,
 )
-from isarith.model import _affine
-from isarith.univariate import Atom, compose, recip_model
+from isarith.model import Domain, RangeBounds, SuperpositionModel, _affine, _midpoints_and_radii, init_variable
+from isarith.univariate import Atom, central_points, compose, recip_model
 
 # values that take the array rules off their plain path: signed zeros,
 # subnormals, factors whose products fall below 1e-290, operands on either
@@ -48,9 +50,13 @@ def same_bits(a, b):
 
 
 def outcome(fn):
-    """('ok', value) or ('raise', exception class)."""
+    """('ok', value) or ('raise', exception class).  A numpy warning fails:
+    the model rules silence the overflow their array helpers check for, and
+    a bare helper runs here as the rules run it, wrapped in _quiet."""
     try:
-        return "ok", fn()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return "ok", fn()
     except (ArithmeticError, ValueError) as err:
         return "raise", type(err)
 
@@ -100,7 +106,7 @@ def check_unit_scale(got, m, c, shift, want):
 def sprinkle(rng, m, share=0.25, pool=SPECIAL):
     """m with some entries replaced by [v, w] from the pool, ordered so the
     interval is valid; equal values of either sign keep their drawn order."""
-    rows = [[(e.lo, e.hi) for e in row] for row in m.coeffs]
+    rows = [[(e.lo, e.hi) for e in row] for row in coeffs(m)]
     for row in rows:
         for j in range(len(row)):
             if rng.random() < share:
@@ -112,7 +118,7 @@ def sprinkle(rng, m, share=0.25, pool=SPECIAL):
 def zero_ties(m):
     """m with row 0 led by signed-zero ties, so the row minimum and maximum
     pick by order."""
-    rows = [[(e.lo, e.hi) for e in row] for row in m.coeffs]
+    rows = [[(e.lo, e.hi) for e in row] for row in coeffs(m)]
     rows[0][0] = (-0.0, 0.0)
     if len(rows[0]) > 1:
         rows[0][1] = (0.0, -0.0)
@@ -120,7 +126,7 @@ def zero_ties(m):
 
 
 def degenerate_row(m, i, v):
-    rows = [[(e.lo, e.hi) for e in row] for row in m.coeffs]
+    rows = [[(e.lo, e.hi) for e in row] for row in coeffs(m)]
     rows[i] = [(v, v)] * m.branches
     return make_model(m.domain, rows, (m.const.lo, m.const.hi))
 
@@ -150,7 +156,7 @@ class TestPrimitives:
             a = [sorted(rng.choice(pool, size=2).tolist()) for _ in range(shape[0] * shape[1])]
             b = [sorted(rng.choice(pool, size=2).tolist()) for _ in range(shape[0] * shape[1])]
             arrays = [np.array([[p[k] for p in x] for k in (0, 1)]).reshape((2,) + shape) for x in (a, b)]
-            got = outcome(lambda: _interval_products(*arrays))
+            got = outcome(_quiet(lambda: _interval_products(*arrays)))
             want = outcome(lambda: [Interval(*x) * Interval(*y) for x, y in zip(a, b)])
             assert got[0] == want[0]
             if got[0] == "ok":
@@ -163,7 +169,7 @@ class TestPrimitives:
         for _ in range(200):
             x = rng.choice(pool, size=(2, 3, 4))
             y = rng.choice(pool, size=(2, 3, 4))
-            got = outcome(lambda: _sums(x, y))
+            got = outcome(_quiet(lambda: _sums(x, y)))
             want = outcome(lambda: [
                 scalar(a, b) for half, scalar in zip((0, 1), (_add_down, _add_up))
                 for a, b in zip(x[half].ravel().tolist(), y[half].ravel().tolist())
@@ -187,7 +193,7 @@ class TestPrimitives:
                 values = pool if name != "tan" else tan_pool
                 pairs = [sorted(float(v) for v in rng.choice(values, size=2)) for _ in range(6)]
             bounds = np.array([[p[k] for p in pairs] for k in (0, 1)]).reshape(2, 2, 3)
-            got = outcome(lambda: _ARRAY_RULES[name](bounds))
+            got = outcome(_quiet(lambda: _ARRAY_RULES[name](bounds)))
             want = [outcome(lambda: getattr(Interval(*p), name)()) for p in pairs]
             raised = {w[1] for w in want if w[0] == "raise"}
             if raised:
@@ -222,16 +228,16 @@ class TestRulesAgainstReference:
             if t % 5 in (3, 4):
                 m = random_model_for_atom(rng, Atom.SQR, m.dim, m.branches)
             if t % 5 == 4:  # tiny factors: window products below 1e-290
-                m = make_model(m.domain, [[(e.lo * 1e-150, e.hi * 1e-150) for e in row] for row in m.coeffs])
-                other = make_model(m.domain, [[(e.lo * 1e-148, e.hi * 1e-148) for e in row] for row in other.coeffs])
+                m = make_model(m.domain, [[(e.lo * 1e-150, e.hi * 1e-150) for e in row] for row in coeffs(m)])
+                other = make_model(m.domain, [[(e.lo * 1e-148, e.hi * 1e-148) for e in row] for row in coeffs(other)])
             elif t % 5 == 3:  # one factor beyond the splitting limit
                 big = _SPLIT_LIMIT * 1.5
-                m = make_model(m.domain, [[(e.lo * big / 4, e.hi * big / 4) for e in row] for row in m.coeffs])
-                other = make_model(m.domain, [[(e.lo * 1e-9, e.hi * 1e-9) for e in row] for row in other.coeffs])
+                m = make_model(m.domain, [[(e.lo * big / 4, e.hi * big / 4) for e in row] for row in coeffs(m)])
+                other = make_model(m.domain, [[(e.lo * 1e-9, e.hi * 1e-9) for e in row] for row in coeffs(other)])
             compared += check_model(outcome(lambda: mul_models(m, other)), outcome(lambda: reference.mul(m, other)))
         assert compared >= 120
 
-    @pytest.mark.parametrize("c", [1.0, -1.0, 2.5, -0.3, 1e-300, 3.0e299, 0.0])
+    @pytest.mark.parametrize("c", [1.0, -1.0, 2.5, -0.3, 1e-300, 3.0e299, 0.0, -5e-324, 7e299])
     @pytest.mark.parametrize("d", [0.0, 1.5])
     def test_scalar_affine(self, c, d):
         rng = np.random.default_rng(113)
@@ -265,9 +271,125 @@ class TestRulesAgainstReference:
         compared = 0
         for t, m in enumerate(random_models(rng, Atom.INV, 80)):
             if t % 2:
-                m = make_model(m.domain, [[(-e.hi, -e.lo) for e in row] for row in m.coeffs])
+                m = make_model(m.domain, [[(-e.hi, -e.lo) for e in row] for row in coeffs(m)])
             compared += check_model(outcome(lambda: recip_model(m)), outcome(lambda: reference.recip(m)))
         assert compared >= 40
+
+
+class TestScalarWork:
+    """Central points and product workspaces, whose sums and products run on
+    float endpoints, against their Interval forms in `reference.py`: the same
+    bits, or the same exception class."""
+
+    @staticmethod
+    def check_workspace(got, want, fields):
+        assert got[0] == want[0], (got, want)
+        if got[0] == "raise":
+            assert got[1] is want[1]
+            return False
+        for name in fields:
+            a, b = getattr(got[1], name), getattr(want[1], name)
+            if isinstance(a, Interval):
+                a, b = (a.lo, a.hi), (b.lo, b.hi)
+            assert same_bits(a, b), name
+        return True
+
+    def test_midpoints_and_radii_keep_signed_zeros(self):
+        # degenerate rows of either zero, both zero orders, and a wide row
+        rb = RangeBounds(0.0, 4.0, (-0.0, 0.0, 0.0, -0.0, 1.0), (0.0, -0.0, 0.0, -0.0, 3.0))
+        assert same_bits(_midpoints_and_radii(rb), reference.midpoints_and_radii(rb))
+
+    @pytest.mark.parametrize("atom", list(Atom))
+    def test_central_points(self, atom):
+        rng = np.random.default_rng(130 + list(Atom).index(atom))
+        compared = 0
+        for m in random_models(rng, atom, 80):
+            got = outcome(lambda: central_points(atom, m))
+            want = outcome(lambda: reference.central_points(atom, m))
+            compared += self.check_workspace(got, want, ("centers", "omega", "spreads"))
+        assert compared >= 40
+
+    def test_exp_near_overflow_raises_alike(self):
+        # rows near exp's overflow threshold: the centers or the spreads pass
+        # the largest float, or not
+        rng = np.random.default_rng(137)
+        raised = compared = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            lo = rng.uniform(600.0 / n, 715.0 / n, size=(n, 3))
+            rows = [[(a, a + w) for a, w in zip(r, rng.uniform(0.0, 20.0, 3))] for r in lo]
+            m = make_model(unit_domain(n, 3), rows)
+            got, want = outcome(lambda: central_points(Atom.EXP, m)), outcome(lambda: reference.central_points(Atom.EXP, m))
+            ok = self.check_workspace(got, want, ("centers", "omega", "spreads"))
+            compared += ok
+            raised += not ok
+        assert raised >= 20 and compared >= 20
+
+    def test_product_workspace(self):
+        rng = np.random.default_rng(138)
+        fields = ("centers_a", "centers_b", "alpha", "beta", "radii_a", "radii_b", "remainder")
+        compared = 0
+        for t, m in enumerate(random_models(rng, Atom.SQR, 120)):
+            other = random_model_for_atom(rng, Atom.SQR, m.dim, m.branches)
+            if t % 4 == 3:  # radii whose products pass the largest float
+                m, other = (
+                    make_model(m.domain, [[(e.lo * 1e160, e.hi * 1e160) for e in row] for row in coeffs(x)])
+                    for x in (random_model_for_atom(rng, Atom.SQR, m.dim, m.branches), other)
+                )
+            else:
+                other = sprinkle(rng, other)
+            got, want = outcome(lambda: product_workspace(m, other)), outcome(lambda: reference.product_workspace(m, other))
+            compared += self.check_workspace(got, want, fields)
+        assert compared >= 60
+
+
+class TestLeanPath:
+    """Rules build their results without the public constructor's checks."""
+
+    @pytest.mark.parametrize("rule", [
+        lambda m: compose(Atom.NEG, m),
+        lambda m: _affine(m, 1.0, 0.0),
+        lambda m: _affine(m, 1.0, -0.0),
+        lambda m: _affine(m, -1.0, PI_HALF),
+        lambda m: scalar_affine(m, -1.0, 2.5),
+    ], ids=["neg", "plus-one", "plus-one-negative-zero", "minus-one-pi-half", "minus-one"])
+    def test_unit_scales_bound_as_a_checked_model(self, rule):
+        entries = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)]
+        rows = [entries, [(-0.0, 0.0), (-1.0, -0.0), (0.0, 2.0), (-3.0, 0.0)], [(0.5, 0.5)] * 4]
+        for const in ((-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (-1.0, 2.0)):
+            m = make_model(unit_domain(3, 4), rows, const)
+            m.range_bounds()
+            out = rule(m)
+            rb = out.range_bounds()
+            fresh = SuperpositionModel(out.domain, out.bounds, out.const).range_bounds()
+            assert same_bits([rb.lo, rb.hi, *rb.row_lo, *rb.row_hi], [fresh.lo, fresh.hi, *fresh.row_lo, *fresh.row_hi])
+
+    def test_rules_still_raise_past_the_largest_float(self):
+        # through outcome, so a numpy overflow warning fails the test too
+        top = 1.7976931348623157e308
+        d = unit_domain(2, 2)
+        big = make_model(d, [[(1.0, top / 2), (0.0, top)], [(0.0, 1.0), (1.0, 2.0)]])
+        wide = make_model(unit_domain(1, 2), [[(-1e200, 0.0), (0.0, 1e200)]])  # squares overflow
+        far = make_model(unit_domain(1, 2), [[(0.0, 5.0), (5.0, 10.0)]], const=(1e160, 1e160))
+        for rule in (
+            lambda: add_models(big, big),
+            lambda: _affine(big, 2.0),
+            lambda: _affine(make_model(d, [[(0.0, 1.0)] * 2] * 2, const=(0.0, top)), 1.0, top),
+            lambda: mul_models(big, big),
+            lambda: mul_models(far, far),  # the window products overflow
+            lambda: compose(Atom.SQR, big),
+            lambda: compose(Atom.SQR, wide),
+            lambda: compose(Atom.EXP, make_model(d, [[(0.0, 1.0)] * 2, [(700.0, 720.0)] * 2])),
+        ):
+            assert outcome(rule) == ("raise", OverflowError)
+
+    def test_public_constructor_copies_the_callers_array(self):
+        d = Domain.of([(0.0, 1.0)], 2)
+        a = np.zeros((2, 1, 2))
+        m = SuperpositionModel(d, a)
+        a[0, 0, 0] = -1.0  # still the caller's to write
+        assert m.lo[0, 0] == 0.0 and not m.bounds.flags.writeable
+        assert init_variable(d, 0).bounds.flags.writeable is False
 
 
 class TestUnitScale:
@@ -312,6 +434,6 @@ def test_exp_lower_endpoint_clamps_at_zero():
 def test_margin_past_the_largest_float_raises():
     near = np.array([[1.0, math.nextafter(1.7976931348623157e308, 0.0)]])
     with pytest.raises(OverflowError):
-        _steps_arrays(near, ULP_MARGIN, math.inf)
+        _quiet(_steps_arrays)(near, ULP_MARGIN, math.inf)
     with pytest.raises(OverflowError):
-        _steps_arrays(-near, ULP_MARGIN, -math.inf)
+        _quiet(_steps_arrays)(-near, ULP_MARGIN, -math.inf)

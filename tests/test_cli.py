@@ -96,6 +96,20 @@ class TestBound:
         assert main(["bound", "--expr", "log(x1)", "--domain", "x1=[-1,1]"]) == 2
         assert main(["bound", "--expr", "x1"]) == 2  # missing domain
 
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 201 + "x1" + ")" * 201, "exp(" * 400 + "x1" + ")" * 400],
+        ids=["parentheses", "calls"],
+    )
+    def test_deep_nesting_exits_2(self, text, capsys):
+        # the recursive-descent parser stops at a documented depth instead of
+        # running out of interpreter stack
+        assert main(["bound", f"--expr={text}", "--domain", "x1=[0,1]"]) == 2
+        assert f"nested deeper than {expr.MAX_NESTING} levels" in capsys.readouterr().err
+
+    def test_many_unary_minuses_bound(self):
+        assert main(["bound", "--expr=" + "-" * 1000 + "x1", "--domain", "x1=[0,1]"]) == 0
+
     @pytest.mark.parametrize("command", ["bound", "compare"])
     @pytest.mark.parametrize("expr_args", [[], ["--expr", ""]], ids=["absent", "empty"])
     def test_missing_expression_exits_2(self, command, expr_args, capsys):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import is_separable, row
+from conftest import coeffs, is_separable, row
 
 from isarith.bivariate import product_workspace
 from isarith.expr import (
+    MAX_NESTING,
     ArityError,
     Expr,
     ParseError,
@@ -103,6 +104,22 @@ class TestParse:
             parse("(x1", arity=1)
         with pytest.raises(ParseError):
             parse("x1 x1", arity=1)
+
+    def test_nesting_limit(self):
+        for wrap in (lambda t: f"({t})", lambda t: f"-({t})", lambda t: f"sin({t})"):
+            text = "x1"
+            for _ in range(MAX_NESTING):
+                text = wrap(text)
+            assert parse(text, arity=1).arity == 1
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse(wrap(text), arity=1)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse("(" * (MAX_NESTING + 1), arity=1)
+
+    def test_unary_minuses_do_not_nest(self):
+        # minuses bind looser than ^ however many there are
+        assert eval_point(parse("-" * 5001 + "x1^2", arity=1), [3.0]) == (-9.0,)
+        assert eval_point(parse("--x1^2", arity=1), [3.0]) == (9.0,)
 
     def test_arity_enforced(self):
         with pytest.raises(ArityError):
@@ -215,7 +232,7 @@ class TestEvalIsm:
         for cap in (8, 16, 32):
             d = Domain.of([(0, 2 * math.pi)] * 2, branches=cap)
             m = eval_ism(e, d)[0]
-            worst = sum(max(en.diam for en in row) for row in m.coeffs)
+            worst = sum(max(en.diam for en in row) for row in coeffs(m))
             diams.append(worst)
         assert diams[0] > diams[1] > diams[2]
         assert diams[0] / diams[2] > 3.0  # roughly linear in 1/N

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import hull, make_model, scale, shift
+from conftest import hull, make_model, mid, scale, shift
 from isarith.interval import (
     PI,
     PI_HALF,
@@ -27,7 +27,10 @@ from isarith.interval import (
     _div_up,
     _mul_down,
     _mul_up,
-    _quotients,
+    _SIGNS,
+    _outward_quotients,
+    _quiet,
+    _round_sums,
     _steps,
     _sub_up,
 )
@@ -208,7 +211,7 @@ class TestPlumbing:
 
     def test_mid_inside(self):
         iv = Interval(1.0, math.nextafter(1.0, 2.0))
-        assert iv.contains(iv.mid)
+        assert iv.contains(mid(iv))
 
     def test_contains(self):
         assert not Interval(0, 1).contains(1.5)
@@ -357,6 +360,7 @@ def tight_or_overflow(call, exact: Fraction, side: int) -> None:
 
 
 @settings(max_examples=1000, deadline=None)
+@example(8.918978694188795e307, -MAX)  # 2Sum's intermediate s - a overflows
 @example(1.0, MAX)
 @example(math.sqrt(MAX), math.nextafter(math.sqrt(MAX), math.inf))
 @example(1e-200, 1e-200)
@@ -427,10 +431,32 @@ def test_quotients_match_fraction_rounding():
     with np.errstate(over="ignore"):
         divisors = b[np.abs(1.0 / b) < 1e307]
     assert len(divisors) >= 100_000
-    down, up = _quotients(1.0, divisors)
+    down, up = _quiet(_outward_quotients)(1.0, np.array((divisors, divisors))[:, None])[:, 0]
     want = np.array([fraction_rounding(1.0, y) for y in divisors.tolist()])
     assert np.array_equal(down.view(np.uint64), want[:, 0].view(np.uint64))
     assert np.array_equal(up.view(np.uint64), want[:, 1].view(np.uint64))
+
+
+def test_directed_sums_near_the_largest_float_match_fraction():
+    # one operand within 3 ulps of +-MAX and the other of opposite sign, in
+    # either order: 2Sum's intermediate s - a can overflow although s cannot
+    # (1,577 wrong sums of each rule at the parent)
+    rng = np.random.default_rng(20261019)
+    count = 100_000
+    near = [MAX]
+    for _ in range(3):
+        near.append(math.nextafter(near[-1], 0.0))
+    a = np.array(near)[rng.integers(0, 4, count)] * rng.choice((-1.0, 1.0), count)
+    b = -np.sign(a) * rng.uniform(0.0, 1.0, count) * MAX
+    a, b = np.where(rng.random(count) < 0.5, (a, b), (b, a))
+    stacked = _quiet(_round_sums)(np.array((a, a))[:, None], np.array((b, b))[:, None], _SIGNS)
+    wrong = 0
+    for x, y, array_down, array_up in zip(a.tolist(), b.tolist(), *stacked[:, 0].tolist()):
+        exact = Fraction(x) + Fraction(y)
+        for rule, side, array_sum in ((_add_down, -1, array_down), (_add_up, 1, array_up)):
+            r = rule(x, y)
+            wrong += (Fraction(r) - exact) * side < 0 or r != array_sum
+    assert wrong == 0
 
 
 def test_rounding_past_the_largest_float_raises():

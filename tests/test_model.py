@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import branch_interval, is_separable, make_model, row
+from conftest import branch_interval, coeffs, is_separable, make_model, row
 from isarith.interval import Interval, IntervalError
 from isarith.model import Domain, OutOfDomain, init_constant, init_variable
 
 
 def brute_range(m):
     """Independent oracle: enumerate all N^n branch tuples of endpoint sums."""
-    lows = [[e.lo for e in row] for row in m.coeffs]
-    highs = [[e.hi for e in row] for row in m.coeffs]
+    lows = [[e.lo for e in row] for row in coeffs(m)]
+    highs = [[e.hi for e in row] for row in coeffs(m)]
     n, cap = m.dim, m.branches
     best_lo = math.inf
     best_hi = -math.inf
@@ -140,18 +140,18 @@ class TestInit:
     def test_constant(self):
         d = Domain.of([(0, 1), (0, 1)], branches=3)
         m = init_constant(d, 0.0)
-        assert all(e == Interval(0, 0) for row in m.coeffs for e in row)
+        assert all(e == Interval(0, 0) for row in coeffs(m) for e in row)
         rb = init_constant(d, 3.5).range_bounds()
         assert (rb.lo, rb.hi) == (3.5, 3.5)
         assert init_constant(d, -1.0).evaluate((0.2, 0.9)) == Interval(-1, -1)
         c = init_constant(d, 2.0)
         assert c.const == Interval(2, 2)
-        assert all(e == Interval(0, 0) for row in c.coeffs for e in row)
+        assert all(e == Interval(0, 0) for row in coeffs(c) for e in row)
 
     def test_storage_is_2nN_endpoints(self):
         d = Domain.of([(0, 1), (0, 2), (0, 3)], branches=5)
         m = init_variable(d, 1)
-        endpoints = [v for row in m.coeffs for e in row for v in (e.lo, e.hi)]
+        endpoints = [v for row in coeffs(m) for e in row for v in (e.lo, e.hi)]
         assert len(endpoints) == 2 * 3 * 5
 
 

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from conftest import lattice, make_model, random_model_for_atom, random_separable_model, unit_domain
+from conftest import (
+    coeffs,
+    lattice,
+    make_model,
+    random_model_for_atom,
+    random_separable_model,
+    unit_domain,
+)
 from isarith import cli, oracle
 from isarith.expr import eval_interval, eval_ism, eval_points, parse, parse_vector, self_compose
 from isarith.interval import DomainViolation, Interval
@@ -286,10 +293,10 @@ class TestBlockScan:
         assert enclosure_points < 46**3 / 3
 
         cells = []  # every cell box the way a per-cell loop sums it
-        coeffs = [mdl.coeffs for mdl in models]
+        matrices = [coeffs(mdl) for mdl in models]
         for combo in np.ndindex((branches,) * 3):
             box = []
-            for mdl, rows, c in zip(models, coeffs, clip):
+            for mdl, rows, c in zip(models, matrices, clip):
                 lo = sum((rows[i][j].lo for i, j in enumerate(combo)), mdl.const.lo)
                 hi = sum((rows[i][j].hi for i, j in enumerate(combo)), mdl.const.hi)
                 box.append((max(lo, c.lo), min(hi, c.hi)))
@@ -437,7 +444,7 @@ class TestPiecewiseHausdorff:
         shifted = ImageSample(img.points + 1.0, (Interval(1, 2), Interval(1, 2)))
         # the same cells moved by +1: rows lowered by 1, constant 2
         moved = tuple(
-            make_model(d, [[(e.lo - 1.0, e.hi - 1.0) for e in m.coeffs[0]]], const=(2.0, 2.0))
+            make_model(d, [[(e.lo - 1.0, e.hi - 1.0) for e in coeffs(m)[0]]], const=(2.0, 2.0))
             for m in models
         )
         assert hausdorff_piecewise(shifted, moved, budget=10_000) == pytest.approx(

@@ -1,0 +1,99 @@
+"""Interleaved A/B timing of the enclose corpus against another checkout.
+
+    python3 tools/ab.py OTHER_CHECKOUT
+
+Loads src/isarith of this checkout and of OTHER_CHECKOUT in one process, as
+two packages with distinct names, builds the bench `enclose` corpus of seed 7
+once (bench/corpus.py of this checkout) and bounds its tasks alternately,
+task by task, with the calls `isarith bound` makes, flipping which side goes
+first on every task.  Every task must give both sides the same bits (each
+model's matrix, constant and range, and the plain interval boxes) or the
+same exception class.  Each of the PASSES passes prints the time ratio
+this / other; below 1 means this checkout is faster.
+
+Alternating within one process cancels the drift of a shared host: on a
+2-vCPU guest, passes of the same code took from 1.7 to 3.9 s across runs,
+while the interleaved ratio of a checkout against a copy of itself stayed
+within 2% of 1.
+"""
+
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+PASSES = 5
+
+
+def load(checkout: Path, name: str):
+    """The cli module of checkout's src/isarith, imported as package name."""
+    package = checkout / "src" / "isarith"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def bound(cli, task) -> tuple[float, bytes | str]:
+    """Seconds taken and a bit-exact record of what `isarith bound` builds."""
+    start = time.perf_counter()
+    domain = cli.parse_domain_spec(task.spec, task.branches)
+    e = cli.parse_vector(task.texts, task.arity)
+    if task.depth > 1:
+        e = cli.self_compose(e, task.depth)
+    parts: list = []
+    try:
+        for m in cli.eval_ism(e, domain):
+            rb = m.range_bounds()
+            ends = [m.const.lo, m.const.hi, rb.lo, rb.hi, *rb.row_lo, *rb.row_hi]
+            parts += [m.bounds.tobytes(), np.array(ends).tobytes()]
+    except (ArithmeticError, ValueError) as err:
+        parts.append(type(err).__name__)
+    try:
+        parts.append(np.array([(b.lo, b.hi) for b in cli.eval_interval(e, domain.boxes)]).tobytes())
+    except (ArithmeticError, ValueError) as err:
+        parts.append(type(err).__name__)
+    elapsed = time.perf_counter() - start
+    return elapsed, repr(parts)
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import corpus  # bench/corpus.py, read only
+
+    tasks = corpus.random_tasks(7) + corpus.anchor_tasks()
+    this, other = load(ROOT, "isarith_this"), load(Path(sys.argv[1]).resolve(), "isarith_other")
+    for _ in range(2):  # warm both sides up
+        for task in tasks[:20]:
+            bound(this, task), bound(other, task)
+    ratios = []
+    for k in range(PASSES):
+        spent = {"this": 0.0, "other": 0.0}
+        for i, task in enumerate(tasks):
+            order = (("this", this), ("other", other)) if (i + k) % 2 == 0 else (("other", other), ("this", this))
+            out = {}
+            for side, cli in order:
+                seconds, out[side] = bound(cli, task)
+                spent[side] += seconds
+            if out["this"] != out["other"]:
+                raise SystemExit(f"task {i} ({task.name}): the outputs differ")
+        ratios.append(spent["this"] / spent["other"])
+        print(f"pass {k + 1}: this {spent['this']:.3f} s, other {spent['other']:.3f} s, "
+              f"ratio {ratios[-1]:.4f}", flush=True)
+    print(f"median ratio {statistics.median(ratios):.4f} over {len(tasks)} tasks, "
+          f"{PASSES} passes")
+
+
+if __name__ == "__main__":
+    main()
