@@ -31,6 +31,8 @@ DEFAULT_BUDGET = 10**6
 _CHUNK = 1 << 16
 #: index blocks per axis that the enclosure scan cuts its lattice into
 _BLOCKS_PER_AXIS = 8
+#: eps of the approximate midpoint queries that order the scan's blocks
+_MID_EPS = 2.0
 
 
 class BudgetExceeded(ValueError):
@@ -97,7 +99,17 @@ def _block_points(coords: np.ndarray) -> np.ndarray:
         shape = [blocks] + [1] * m
         shape[1 + j] = k
         points[..., j] = coords[:, j].reshape(shape)  # broadcast in place
-    return points.reshape(blocks, -1, m)
+    return points.reshape(blocks, k**m, m)
+
+
+def _distinct(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct rows of a non-empty p (0.0 is -0.0) and each row's index among them."""
+    order = np.lexsort(p.T[::-1])
+    p = p[order]
+    new = np.concatenate(([True], (p[1:] != p[:-1]).any(axis=1)))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return p[new], inverse
 
 
 def sample_image(
@@ -136,11 +148,15 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     max norm, so no point of a block lies farther than the block's midpoint
     distance plus its max-norm reach from the midpoint.  Blocks are scanned by
     falling bound, in batches that start at one block and double, and the scan
-    stops once no bound left exceeds the maximum found.  Within a batch, each
-    point is bounded by its distance to the sample nearest its block's
-    midpoint, and only the distinct points whose bound exceeds the maximum
-    are queried.  The skipped points cannot raise it, so the result is the
-    exhaustive scan's to the last bit.
+    stops once no bound left exceeds the maximum found.  The bound takes the
+    midpoint distance from an approximate query (Arya et al., JACM 1998): a
+    real sample up to 1 + _MID_EPS times farther than the nearest, at the
+    tree's own rounding of its distance, so the slack below covers it as it
+    covers an exact one.  A batch the scan reaches queries its distinct
+    midpoints exactly for the block bound, bounds each point by its distance
+    to the sample nearest its block's midpoint, and queries only the distinct
+    points whose bound exceeds the maximum.  The skipped points cannot raise
+    it, so the result is the exhaustive scan's to the last bit.
     """
     # finite coordinates keep every midpoint and reach below the largest float
     if not np.isfinite(coords).all():
@@ -150,8 +166,6 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     lo, hi = coords.min(axis=2), coords.max(axis=2)
     mid = 0.5 * lo + 0.5 * hi
     reach = np.maximum(hi - mid, mid - lo).max(axis=1)
-    near, nearest = tree.query(mid, k=1, p=np.inf)
-    bound = near + reach
     # A computed distance max_i |x_i - s_i| carries one rounding, so it lies
     # within a factor 1 +- eps/2 of the exact distance, and the rounded reach
     # within the same factor of the exact reach.  Chained through the
@@ -161,6 +175,7 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     # the rounding inside the kd-tree's search.
     slack = 16 * np.finfo(float).eps
     scale = np.abs(coords).max(axis=(1, 2))
+    bound = tree.query(mid, k=1, p=np.inf, eps=_MID_EPS)[0] + reach
     bound += slack * (scale + bound)
     order = np.argsort(-bound, kind="stable")
     most = max(1, _CHUNK // k**m)
@@ -168,6 +183,11 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     while start < blocks and bound[order[start]] > worst:
         batch = order[start : start + size]
         batch = batch[bound[batch] > worst]
+        mids, inverse = _distinct(mid[batch])
+        near, nearest = (a[inverse] for a in tree.query(mids, k=1, p=np.inf))
+        exact = near + reach[batch]
+        keep = exact + slack * (scale[batch] + exact) > worst
+        batch, nearest = batch[keep], nearest[keep]
         points = _block_points(coords[batch])
         # Each point's distance to the sample nearest its block's midpoint, by
         # the tree's own formula and rounding: the tree returns the least such
@@ -175,10 +195,10 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
         # rounding in its search that the slack covers.  A point whose padded
         # bound is at most the maximum cannot raise it, and a repeated point (a
         # zero-width axis, an edge block) cannot change a maximum either.
-        ub = np.abs(points - img.points[nearest[batch], None]).max(axis=2)
+        ub = np.abs(points - img.points[nearest, None]).max(axis=2)
         points = points[ub + slack * (scale[batch, None] + ub) > worst]
         if len(points):
-            dists, _ = tree.query(np.unique(points, axis=0), k=1, p=np.inf)
+            dists, _ = tree.query(_distinct(points)[0], k=1, p=np.inf)
             worst = max(worst, float(dists.max()))
         start += size
         size = min(2 * size, most)
@@ -252,8 +272,8 @@ def hausdorff_piecewise(
     the models do not claim.  Each cell's lattice is one block of the branch
     and bound scan (`_farthest`): a cell whose midpoint distance plus
     half-width cannot beat the maximum found is never queried, so most cells
-    cost one midpoint query, and the result is the maximum over every cell's
-    lattice, bit for bit.
+    cost one approximate midpoint query, and the result is the maximum over
+    each cell's lattice, bit for bit.
     """
     if not models:
         raise ValueError("need at least one component model")

@@ -26,10 +26,19 @@ from conftest import (
     random_separable_model,
 )
 from isarith.bivariate import product_workspace
-from isarith.cli import RunConfig, run_compare, run_recursion, run_sweep
-from isarith.expr import _walk, eval_interval, eval_ism, eval_points, parse, to_text
+from isarith.cli import (
+    RECURSION_DOMAIN,
+    RECURSION_TEXTS,
+    RunConfig,
+    parse_domain_spec,
+    run_compare,
+    run_recursion,
+    run_sweep,
+)
+from isarith.expr import _walk, eval_interval, eval_ism, eval_points, parse, parse_vector, to_text
 from isarith.interval import DomainViolation, Interval
 from isarith.model import Domain
+from isarith.oracle import hausdorff_enclosure, hausdorff_piecewise, sample_image
 from isarith.univariate import Atom, central_points, remainder_bound
 from reference import brute_force_range, remainder_violation_search
 
@@ -449,3 +458,38 @@ def test_c10_convergence_orders_on_shrinking_domains():
     assert orders["ia"] <= 1.2, orders
     assert isa10_below_ia, (isa[10], ia)
     assert isa1_is_ia, (isa[1], ia)
+
+
+def test_c10_pointwise_cell_union_converges_on_shrinking_boxes():
+    # One stage of the recursion map over its domain scaled by t about its
+    # centre, the origin; dH of the cell union (`hausdorff_piecewise`, clipped
+    # by IA as run_recursion does) and of the IA box against a 20^3 sample,
+    # order fitted over t in [1/64, 1/4].  Measured: cell union at N=4 1.46,
+    # at N=16 1.50; IA 1.55, above first order because two outputs are flat
+    # at the origin.  The cell union at N=16 lies at 0.30-0.51 of IA.  Bounds
+    # fixed after the measurement, with margin: each cell union of order
+    # >= 1.3, and N=16 below N=4 below IA at every t.
+    base = parse_vector(RECURSION_TEXTS, 3)
+    full = parse_domain_spec(RECURSION_DOMAIN, 1).boxes
+    ts = [2.0**-k for k in range(2, 7)]
+    dists = {}
+    for t in ts:
+        box = [Interval(b.lo * t, b.hi * t) for b in full]
+        img = sample_image(base, box, budget=20**3)
+        ia = eval_interval(base, box)
+        dists["ia", t] = hausdorff_enclosure(img, ia, budget=2 * 10**4)
+        for n in (4, 16):
+            models = eval_ism(base, Domain.of(box, n))
+            dists[n, t] = hausdorff_piecewise(img, models, clip=ia, budget=2 * 10**4)
+
+    def order(key):
+        return float(np.polyfit([math.log2(t) for t in ts], [math.log2(dists[key, t]) for t in ts], 1)[0])
+
+    orders = {key: order(key) for key in (4, 16, "ia")}
+    nested = all(dists[16, t] < dists[4, t] < dists["ia", t] for t in ts)
+    ok = orders[4] >= 1.3 and orders[16] >= 1.3 and nested
+    _report("criterion 10, pointwise", ok,
+            f"order N=4 {orders[4]:.2f}, N=16 {orders[16]:.2f}, IA {orders['ia']:.2f}, "
+            f"N=16 < N=4 < IA at every t: {nested}")
+    assert orders[4] >= 1.3 and orders[16] >= 1.3, orders
+    assert nested, dists

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import branch_interval, coeffs, is_separable, make_model, row
 from isarith.interval import Interval, IntervalError
-from isarith.model import Domain, OutOfDomain, init_constant, init_variable
+from isarith.model import (
+    Domain,
+    OutOfDomain,
+    RangeBounds,
+    _midpoints_and_radii,
+    init_constant,
+    init_variable,
+)
 
 
 def brute_range(m):
@@ -229,6 +237,46 @@ class TestEvaluate:
         for _ in range(1000):
             x = [rng.uniform(b.lo, b.hi) for b in d.boxes]
             assert window.encloses(m.evaluate(x))
+
+    def test_encloses_the_exact_sum_of_the_selected_entries(self):
+        # entries of magnitudes 1e-20 to 1e4 make most float sums inexact;
+        # the endpoints must bound the exact sum, not merely round near it
+        rng = np.random.default_rng(17)
+        d = Domain.of([(0, 1), (-1, 1), (2, 5)], branches=5)
+        inexact = 0
+        for _ in range(100):
+            lo = rng.uniform(-1, 1, (4, 5)) * 10.0 ** rng.integers(-20, 5, (4, 5))
+            hi = lo + rng.uniform(0, 1, (4, 5)) * 10.0 ** rng.integers(-20, 5, (4, 5))
+            m = make_model(d, [list(zip(a, b)) for a, b in zip(lo[:3], hi[:3])],
+                           const=(lo[3, 0], hi[3, 0]))
+            rows = coeffs(m)
+            for _ in range(10):
+                x = [rng.uniform(b.lo, b.hi) for b in d.boxes]
+                picked = [rows[i][d.branch_index(i, xi)] for i, xi in enumerate(x)]
+                exact_lo = sum(map(Fraction, (e.lo for e in picked)), Fraction(m.const.lo))
+                exact_hi = sum(map(Fraction, (e.hi for e in picked)), Fraction(m.const.hi))
+                got = m.evaluate(x)
+                assert Fraction(got.lo) <= exact_lo and exact_hi <= Fraction(got.hi)
+                inexact += Fraction(float(exact_hi)) != exact_hi
+        assert inexact > 100  # the draws reach the rounding
+
+
+class TestCentering:
+    def test_radius_reaches_the_farther_endpoint_exactly(self):
+        # rows whose endpoints differ in magnitude by up to 1e40 make most
+        # differences from the midpoint inexact
+        rng = np.random.default_rng(23)
+        lo = rng.uniform(-1, 1, 2000) * 10.0 ** rng.integers(-20, 20, 2000)
+        hi = lo + rng.uniform(0, 1, 2000) * 10.0 ** rng.integers(-20, 20, 2000)
+        rb = RangeBounds(0.0, 0.0, tuple(map(float, lo)), tuple(map(float, hi)))
+        centers, radii = _midpoints_and_radii(rb)
+        inexact = 0
+        for a, b, c, r in zip(rb.row_lo, rb.row_hi, centers, radii):
+            assert a <= c <= b
+            far = max(Fraction(b) - Fraction(c), Fraction(c) - Fraction(a))
+            assert Fraction(r) >= far
+            inexact += Fraction(float(far)) != far
+        assert inexact > 100  # the draws reach the rounding
 
 
 class TestSeparable:

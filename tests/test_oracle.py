@@ -260,10 +260,23 @@ class TestBlockScan:
         blocks = oracle._linspace(corner_lo, corner_hi, 2)
         assert oracle._farthest(img, blocks) == hi - s0
 
+    @settings(max_examples=100, deadline=None)
+    @given(_scan_cases())
+    def test_a_loose_midpoint_query_keeps_the_scan_exact(self, case):
+        # any real sample bounds a block, however far it lies from the
+        # nearest, so a far looser approximate query only costs queries
+        img, lo, hi, k = case
+        boxes = [list(zip(a, b)) for a, b in zip(lo, hi)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_MID_EPS", 1e6)
+            got = oracle._farthest(img, oracle._linspace(lo, hi, k))
+        assert got == _exhaustive(img, boxes, k)
+
     @staticmethod
-    def depth_one(monkeypatch):
+    def depth_one(monkeypatch, queried=None):
         """Depth 1 of run_recursion on a 10^5 grid, its scan budget included:
-        the image, the boxes, both distances and the points each scan queried."""
+        the image, the boxes, both distances and the points each scan queried;
+        `queried` is left holding the piecewise scan's queries."""
         grid_budget, branches = 10**5, 20
         scan_budget = min(grid_budget, 200_000)
         base = parse_vector(cli.RECURSION_TEXTS, 3)
@@ -274,7 +287,7 @@ class TestBlockScan:
         ia_boxes = eval_interval(base, domain0.boxes)
         img = sample_image(self_compose(base, 1), domain0.boxes, budget=grid_budget)
 
-        queried = []
+        queried = [] if queried is None else queried
         monkeypatch.setattr(oracle, "cKDTree", _counting_tree(queried))
         d_ia = hausdorff_enclosure(img, ia_boxes, budget=scan_budget)
         enclosure_points, queried[:] = sum(map(len, queried)), []
@@ -312,6 +325,19 @@ class TestBlockScan:
         assert enclosure_points < 46**3 / 30
         assert piecewise_points < 20**3 * 8 / 4
 
+    def test_recursion_map_queries_only_reached_midpoints_exactly(self, monkeypatch):
+        # the first piecewise query holds every cell's midpoint, answered
+        # approximately; the exact re-queries hold only the midpoints of the
+        # batches the scan reaches (1,335 of the 8,000, next to 3,002 lattice
+        # points)
+        queried = []
+        self.depth_one(monkeypatch, queried)
+        midpoints, *scans = queried
+        assert len(midpoints) == 20**3
+        known = {tuple(p) for p in midpoints}
+        requeried = sum(len(q) for q in scans if known.issuperset(map(tuple, q)))
+        assert 0 < requeried < 20**3 / 4
+
 
 def _counting_tree(queried):
     """cKDTree whose queries append their points to the list."""
@@ -322,6 +348,19 @@ def _counting_tree(queried):
             return super().query(x, *args, **kwargs)
 
     return CountingTree
+
+
+class TestDistinct:
+    def test_merges_signed_zeros_and_rebuilds_the_input(self):
+        p = np.random.default_rng(4).choice([-1.0, -0.0, 0.0, 0.5], size=(500, 3))
+        rows, inverse = oracle._distinct(p)
+        assert np.array_equal(rows[inverse], p)  # -0.0 == 0.0
+        assert len(rows) == len({tuple(r) for r in p})  # one zero, as in a set
+        assert all(tuple(a) < tuple(b) for a, b in zip(rows, rows[1:]))
+
+    def test_one_row_for_zeros_of_either_sign(self):
+        rows, inverse = oracle._distinct(np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]]))
+        assert rows.shape == (1, 2) and list(inverse) == [0, 0, 0]
 
 
 class TestPointBound:

@@ -1,15 +1,22 @@
-"""Interleaved A/B timing of the enclose corpus against another checkout.
+"""Interleaved A/B timing of a bench workload against another checkout.
 
-    python3 tools/ab.py OTHER_CHECKOUT
+    python3 tools/ab.py [--workload enclose|recursion] OTHER_CHECKOUT
 
 Loads src/isarith of this checkout and of OTHER_CHECKOUT in one process, as
-two packages with distinct names, builds the bench `enclose` corpus of seed 7
-once (bench/corpus.py of this checkout) and bounds its tasks alternately,
-task by task, with the calls `isarith bound` makes, flipping which side goes
-first on every task.  Every task must give both sides the same bits (each
-model's matrix, constant and range, and the plain interval boxes) or the
-same exception class.  Each of the PASSES passes prints the time ratio
-this / other; below 1 means this checkout is faster.
+two packages with distinct names, and runs the workload on both sides
+alternately, flipping which side goes first every time.
+
+- `enclose` (the default) builds the bench corpus of seed 7 once
+  (bench/corpus.py of this checkout) and bounds its tasks task by task with
+  the calls `isarith bound` makes.  Every task must give both sides the same
+  bits (each model's matrix, constant and range, and the plain interval
+  boxes) or the same exception class.  Each of the PASSES passes prints the
+  time ratio this / other.
+- `recursion` runs `run_recursion(depth=3, branches=20, grid_budget=10**5)`,
+  the bench workload's pass, RECURSION_PASSES times per side, pass by pass.
+  Both sides must give `repr`-equal rows.  Each pass prints its time ratio.
+
+A ratio below 1 means this checkout is faster.
 
 Alternating within one process cancels the drift of a shared host: on a
 2-vCPU guest, passes of the same code took from 1.7 to 3.9 s across runs,
@@ -17,6 +24,7 @@ while the interleaved ratio of a checkout against a copy of itself stayed
 within 2% of 1.
 """
 
+import argparse
 import importlib
 import importlib.util
 import statistics
@@ -28,6 +36,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = 5
+RECURSION_PASSES = 20
 
 
 def load(checkout: Path, name: str):
@@ -65,34 +74,46 @@ def bound(cli, task) -> tuple[float, bytes | str]:
     return elapsed, repr(parts)
 
 
+def recursion(cli, task=None) -> tuple[float, str]:
+    """Seconds taken and the rows of the bench `recursion` workload's pass."""
+    start = time.perf_counter()
+    rows = cli.run_recursion(depth=3, branches=20, grid_budget=10**5)
+    return time.perf_counter() - start, repr(rows)
+
+
 def main() -> None:
-    if len(sys.argv) != 2:
-        raise SystemExit(__doc__)
+    parser = argparse.ArgumentParser(usage=__doc__)
+    parser.add_argument("--workload", choices=("enclose", "recursion"), default="enclose")
+    parser.add_argument("other")
+    args = parser.parse_args()
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    import corpus  # bench/corpus.py, read only
+    if args.workload == "enclose":
+        import corpus  # bench/corpus.py, read only
 
-    tasks = corpus.random_tasks(7) + corpus.anchor_tasks()
-    this, other = load(ROOT, "isarith_this"), load(Path(sys.argv[1]).resolve(), "isarith_other")
+        tasks, run, passes = corpus.random_tasks(7) + corpus.anchor_tasks(), bound, PASSES
+    else:
+        tasks, run, passes = [None], recursion, RECURSION_PASSES
+    this, other = load(ROOT, "isarith_this"), load(Path(args.other).resolve(), "isarith_other")
     for _ in range(2):  # warm both sides up
         for task in tasks[:20]:
-            bound(this, task), bound(other, task)
+            run(this, task), run(other, task)
     ratios = []
-    for k in range(PASSES):
+    for k in range(passes):
         spent = {"this": 0.0, "other": 0.0}
         for i, task in enumerate(tasks):
             order = (("this", this), ("other", other)) if (i + k) % 2 == 0 else (("other", other), ("this", this))
             out = {}
             for side, cli in order:
-                seconds, out[side] = bound(cli, task)
+                seconds, out[side] = run(cli, task)
                 spent[side] += seconds
             if out["this"] != out["other"]:
-                raise SystemExit(f"task {i} ({task.name}): the outputs differ")
+                raise SystemExit(f"task {i} ({getattr(task, 'name', args.workload)}): the outputs differ")
         ratios.append(spent["this"] / spent["other"])
         print(f"pass {k + 1}: this {spent['this']:.3f} s, other {spent['other']:.3f} s, "
               f"ratio {ratios[-1]:.4f}", flush=True)
     print(f"median ratio {statistics.median(ratios):.4f} over {len(tasks)} tasks, "
-          f"{PASSES} passes")
+          f"{passes} passes")
 
 
 if __name__ == "__main__":
