@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .interval import Interval, _add_down, _add_floats, _add_up, _interval_products, _mul_both
+from .interval import Interval, _add_down, _add_floats, _add_up, _interval_products, _mul_down
 from .interval import _mul_up, _quiet, _sub_up, _sums
 from .model import (
     DomainMismatch,
@@ -89,11 +89,10 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
         remainder = 0.0
     else:
         # (sum_a * sum_b - cross).hi in intervals: radii are never negative
-        sum_a = sum_b = cross_lo = cross_hi = 0.0
+        sum_a = sum_b = cross_lo = 0.0
         for i in active:
             sum_a, sum_b = _add_up(sum_a, ra[i]), _add_up(sum_b, rbb[i])
-            down, up = _mul_both(ra[i], rbb[i])
-            cross_lo, cross_hi = _add_down(cross_lo, down), _add_up(cross_hi, up)
+            cross_lo = _add_down(cross_lo, _mul_down(ra[i], rbb[i]))
         remainder = max(0.0, _add_up(_mul_up(sum_a, sum_b), -cross_lo))
 
     cap = _mul_up(0.25, _mul_up(_sub_up(rba.hi, rba.lo), _sub_up(rbx.hi, rbx.lo)))

@@ -90,7 +90,7 @@ def parse_domain_spec(spec: str, branches: int) -> Domain:
         name, _, rest = part.partition("=")
         name = name.strip()
         rest = rest.strip()
-        if not (name.startswith("x") and name[1:].isdigit()):
+        if not (name.startswith("x") and name[1:].isdigit() and int(name[1:]) >= 1):
             raise ValueError(f"bad axis name {name!r} in domain spec")
         if not (rest.startswith("[") and rest.endswith("]")):
             raise ValueError(f"axis {name}: expected [lo,hi], got {rest!r}")

@@ -77,6 +77,12 @@ def _steps(x: float, k: int, direction: float) -> float:
     return _require_finite(x, "rounding")
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """lo moved ULP_MARGIN floats down and hi as many up: the widening of a
+    transcendental result's endpoints."""
+    return _steps(lo, ULP_MARGIN, -_INF), _steps(hi, ULP_MARGIN, _INF)
+
+
 def _two_sum(a: float, b: float) -> tuple[float, float]:
     # Knuth's branch-free 2Sum: a + b == s + err exactly.  err is NaN where s
     # overflows, or where s is finite but a step on the way overflows (Boldo,
@@ -279,33 +285,25 @@ class Interval:
         return Interval(_div_down(1.0, self.hi), _div_up(1.0, self.lo))
 
     def sqr(self) -> Interval:
-        """Square x**2; tighter than self * self when zero is inside."""
-        if self.lo >= 0.0:
-            lo, hi = _mul_down(self.lo, self.lo), _mul_up(self.hi, self.hi)
-        elif self.hi <= 0.0:
-            lo, hi = _mul_down(self.hi, self.hi), _mul_up(self.lo, self.lo)
-        else:
-            m = max(-self.lo, self.hi)
-            lo, hi = 0.0, _mul_up(m, m)
+        """Square x**2; tighter than self * self when zero is inside: the
+        point nearest zero squared down, the farther endpoint squared up."""
+        near, far = min(max(self.lo, 0.0), self.hi), max(-self.lo, self.hi)
         # a square is never negative; subnormal rounding may dip below
-        return Interval(max(0.0, lo), hi)
+        return Interval(max(0.0, _mul_down(near, near)), _mul_up(far, far))
 
     # ------------------------------------------------------------------
     # transcendental functions
     # ------------------------------------------------------------------
 
     def exp(self) -> Interval:
-        lo = math.exp(self.lo)
-        hi = math.exp(self.hi)  # raises OverflowError past the largest float
-        return Interval(max(0.0, _steps(lo, ULP_MARGIN, -_INF)), _steps(hi, ULP_MARGIN, _INF))
+        # math.exp raises OverflowError past the largest float
+        lo, hi = _widened(math.exp(self.lo), math.exp(self.hi))
+        return Interval(max(0.0, lo), hi)
 
     def log(self) -> Interval:
         if self.lo <= 0.0:
             raise DomainViolation(f"log of [{self.lo}, {self.hi}] needs a positive lower endpoint")
-        return Interval(
-            _steps(math.log(self.lo), ULP_MARGIN, -_INF),
-            _steps(math.log(self.hi), ULP_MARGIN, _INF),
-        )
+        return Interval(*_widened(math.log(self.lo), math.log(self.hi)))
 
     def _periodic(self, f, peak: float, trough: float) -> Interval:
         """Image under sin or cos (f), whose maxima lie at peak + 2k*pi and
@@ -315,13 +313,9 @@ class Interval:
         if math.isinf(self.hi - self.lo) or self.diam >= math.tau:
             return Interval(-1.0, 1.0)
         vlo, vhi = f(self.lo), f(self.hi)
-        lo, hi = min(vlo, vhi), max(vlo, vhi)
-        hi = 1.0 if _has_grid_point(self.lo, self.hi, peak, math.tau) else min(
-            1.0, _steps(hi, ULP_MARGIN, _INF)
-        )
-        lo = -1.0 if _has_grid_point(self.lo, self.hi, trough, math.tau) else max(
-            -1.0, _steps(lo, ULP_MARGIN, -_INF)
-        )
+        lo, hi = _widened(min(vlo, vhi), max(vlo, vhi))
+        hi = 1.0 if _has_grid_point(self.lo, self.hi, peak, math.tau) else min(1.0, hi)
+        lo = -1.0 if _has_grid_point(self.lo, self.hi, trough, math.tau) else max(-1.0, lo)
         return Interval(lo, hi)
 
     def sin(self) -> Interval:
@@ -336,10 +330,7 @@ class Interval:
         wide = math.isinf(self.hi - self.lo) or self.diam >= math.pi
         if wide or _has_grid_point(self.lo, self.hi, math.pi / 2, math.pi):
             raise DomainViolation(f"tan over [{self.lo}, {self.hi}] spans a pole")
-        return Interval(
-            _steps(math.tan(self.lo), ULP_MARGIN, -_INF),
-            _steps(math.tan(self.hi), ULP_MARGIN, _INF),
-        )
+        return Interval(*_widened(math.tan(self.lo), math.tan(self.hi)))
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"

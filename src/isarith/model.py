@@ -23,9 +23,7 @@ from .interval import (
     _SIGNS,
     Interval,
     IntervalError,
-    _add_down,
     _add_floats,
-    _add_up,
     _finite,
     _interval_products,
     _products,
@@ -183,11 +181,8 @@ class SuperpositionModel:
         coefficients."""
         if len(x) != self.dim:
             raise OutOfDomain(f"point has {len(x)} coordinates, domain has {self.dim}")
-        lo, hi = self.const.lo, self.const.hi
-        for i, xi in enumerate(x):
-            j = self.domain.branch_index(i, xi)
-            lo = _add_down(lo, self.lo.item(i, j))
-            hi = _add_up(hi, self.hi.item(i, j))
+        cells = [(i, self.domain.branch_index(i, xi)) for i, xi in enumerate(x)]
+        lo, hi = _add_floats(self.const, map(self.lo.item, cells), map(self.hi.item, cells))
         return Interval(lo, hi)
 
 

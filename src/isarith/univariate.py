@@ -16,6 +16,7 @@ in which at most one row has positive width incurs a remainder of exactly 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +26,7 @@ from .interval import _quiet, _sub_up
 from .model import (
     RangeBounds,
     SuperpositionModel,
+    _ZERO,
     _affine,
     _midpoints_and_radii,
     _model,
@@ -44,6 +46,9 @@ __all__ = [
     "pow_model",
     "recip_model",
 ]
+
+
+_ONE = Interval(1.0, 1.0)
 
 
 class RemainderUnbounded(DomainViolation):
@@ -149,31 +154,24 @@ def _spread(g: Atom, lo: float, hi: float, a: float, rad: float, omega: Interval
 
 def remainder_bound(g: Atom, m: SuperpositionModel, w: CompositionWorkspace) -> float:
     """Scalar bound on the defect of writing g over a sum of rows as a sum of
-    recentered row images.  Exactly zero whenever at most one row is wide."""
+    recentered row images.  Exactly zero whenever at most one row is wide.
+    Sums and products run over the wide rows' spreads left to right from an
+    interval start, never over bare floats, which Python 3.12 sums compensated."""
     if g is Atom.NEG:
         return 0.0
     rb = m.range_bounds()
-    active = [i for i, s in enumerate(w.spreads) if s > 0.0]
+    active = [i for i, x in enumerate(w.spreads) if x > 0.0]
     if len(active) <= 1:
         return 0.0
 
     omega = w.omega
+    s = [w.spreads[i] for i in active]
     if g is Atom.SQR:
-        total = Interval(0.0, 0.0)
-        sigma = Interval(0.0, 0.0)
-        for i in active:
-            sigma = sigma + w.spreads[i]
-        for i in active:
-            total = total + (sigma - w.spreads[i]) * w.spreads[i]
-        return max(0.0, total.hi)
+        sigma = sum(s, _ZERO)
+        return max(0.0, sum(((sigma - x) * x for x in s), _ZERO).hi)
 
     if g is Atom.EXP or g in (Atom.SIN, Atom.COS):
-        prod = Interval(1.0, 1.0)
-        ssum = Interval(0.0, 0.0)
-        for i in active:
-            prod = prod * (Interval.point(1.0) + w.spreads[i])
-            ssum = ssum + w.spreads[i]
-        excess = (prod - ssum) - 1.0
+        excess = math.prod((_ONE + x for x in s), start=_ONE) - sum(s, _ZERO) - 1.0
         if g is Atom.EXP:
             return max(0.0, (omega.exp() * excess).hi)
         amplitude = omega.sin().mag() + omega.cos().mag()
@@ -182,16 +180,8 @@ def remainder_bound(g: Atom, m: SuperpositionModel, w: CompositionWorkspace) -> 
     if g is Atom.LOG:
         if rb.lo <= 0.0:
             raise DomainViolation("log remainder needs a positive model range")
-        count = len(active)
-        prod = Interval(1.0, 1.0)
-        ssum = Interval(0.0, 0.0)
-        for i in active:
-            prod = prod * (omega + w.spreads[i])
-            ssum = ssum + w.spreads[i]
-        power = Interval(1.0, 1.0)
-        for _ in range(count - 1):
-            power = power * omega
-        numer = prod - power * (omega + ssum)
+        power = math.prod([omega] * (len(s) - 1), start=_ONE)
+        numer = math.prod((omega + x for x in s), start=_ONE) - power * (omega + sum(s, _ZERO))
         arg = 1.0 - numer * (power * rb.lo).inv()
         if arg.lo <= 0.0:
             raise RemainderUnbounded(
@@ -202,7 +192,7 @@ def remainder_bound(g: Atom, m: SuperpositionModel, w: CompositionWorkspace) -> 
     if g is Atom.INV:
         if rb.lo <= 0.0:
             raise DomainViolation("reciprocal remainder needs a positive model range")
-        acc = Interval(0.0, 0.0)
+        acc = _ZERO
         for i in active:
             upper = (Interval.point(rb.hi) - omega) - (Interval.point(rb.row_hi[i]) - w.centers[i])
             lower = (omega - rb.lo) - (Interval.point(w.centers[i]) - rb.row_lo[i])
@@ -214,28 +204,17 @@ def remainder_bound(g: Atom, m: SuperpositionModel, w: CompositionWorkspace) -> 
         return max(0.0, (acc * denom.inv()).hi)
 
     # tangent: interval form of the telescoped addition identity
-    spreads = [w.spreads[i] for i in active]
-    offs = [Interval(-s, s) for s in spreads]
-    prefixes: list[Interval] = []
-    run = Interval(0.0, 0.0)
-    for s in offs:
-        run = run + s
-        prefixes.append(run)
+    offs = [Interval(-x, x) for x in s]
+    prefixes = list(itertools.accumulate(offs))
     sigma = prefixes[-1]
-    others = []
-    for i, s in enumerate(spreads):
-        t = max(0.0, _sub_up(sigma.hi, s))
-        others.append(Interval(-t, t))
+    others = [Interval(-t, t) for t in (max(0.0, _sub_up(sigma.hi, x)) for x in s)]
     tan_w = omega.tan()
     tan_ws = (omega + sigma).tan()
-    chain = Interval(0.0, 0.0)
-    for i in range(len(offs) - 1):
-        chain = chain + offs[i + 1].tan() * prefixes[i].tan() * prefixes[i + 1].tan()
-    bracket = Interval.point(1.0) + tan_w * tan_ws
-    cross = Interval(0.0, 0.0)
-    for i, s in enumerate(offs):
-        inner = Interval.point(1.0) + (omega + s).tan() * tan_ws
-        cross = cross + tan_w * s.tan() * others[i].tan() * inner
+    steps = zip(offs[1:], prefixes, prefixes[1:])
+    chain = sum((o.tan() * p.tan() * q.tan() for o, p, q in steps), _ZERO)
+    bracket = _ONE + tan_w * tan_ws
+    inner = [_ONE + (omega + o).tan() * tan_ws for o in offs]
+    cross = sum((tan_w * o.tan() * t.tan() * u for o, t, u in zip(offs, others, inner)), _ZERO)
     return (chain * bracket + cross).mag()
 
 

@@ -68,6 +68,14 @@ class TestDomainSpec:
         assert main(["bound", "--expr", "x1", "--domain", "x1=[0,1];x1=[2,3]"]) == 2
         assert "given twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["x0=[5,6];x1=[0,1]", "x0=[0,1]", "x1=[0,1];x00=[2,3]"])
+    def test_axis_zero_is_a_bad_name(self, spec, capsys):
+        # axes count from x1, as in the expression grammar; x0 is no axis
+        with pytest.raises(ValueError, match="bad axis name"):
+            parse_domain_spec(spec, branches=2)
+        assert main(["bound", "--expr", "x1", "--domain", spec]) == 2
+        assert "bad axis name" in capsys.readouterr().err
+
 
 class TestBound:
     def test_monotone_function(self, capsys):

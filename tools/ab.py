@@ -1,6 +1,6 @@
 """Interleaved A/B timing of a bench workload against another checkout.
 
-    python3 tools/ab.py [--workload enclose|recursion] OTHER_CHECKOUT
+    python3 tools/ab.py [--workload enclose|recursion|sweep] OTHER_CHECKOUT
 
 Loads src/isarith of this checkout and of OTHER_CHECKOUT in one process, as
 two packages with distinct names, and runs the workload on both sides
@@ -15,6 +15,10 @@ alternately, flipping which side goes first every time.
 - `recursion` runs `run_recursion(depth=3, branches=20, grid_budget=10**5)`,
   the bench workload's pass, RECURSION_PASSES times per side, pass by pass.
   Both sides must give `repr`-equal rows.  Each pass prints its time ratio.
+- `sweep` runs `run_sweep(points=40, grid_budget=10**6)`, SWEEP_PASSES times
+  per side, pass by pass, each into a fresh temporary directory.  Both sides
+  must write byte-identical CSVs and the same standard error, whose warnings
+  name each cell that failed.  Each pass prints its time ratio.
 
 A ratio below 1 means this checkout is faster.
 
@@ -25,10 +29,13 @@ within 2% of 1.
 """
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,6 +44,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = 5
 RECURSION_PASSES = 20
+SWEEP_PASSES = 10
 
 
 def load(checkout: Path, name: str):
@@ -81,9 +89,19 @@ def recursion(cli, task=None) -> tuple[float, str]:
     return time.perf_counter() - start, repr(rows)
 
 
+def sweep(cli, task=None) -> tuple[float, str]:
+    """Seconds taken, and the CSV bytes and standard error of one sweep."""
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        start = time.perf_counter()
+        paths = cli.run_sweep(out, points=40, grid_budget=10**6)
+        elapsed = time.perf_counter() - start
+        csvs = [(Path(p).name, Path(p).read_bytes()) for p in paths]
+    return elapsed, repr((csvs, err.getvalue()))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(usage=__doc__)
-    parser.add_argument("--workload", choices=("enclose", "recursion"), default="enclose")
+    parser.add_argument("--workload", choices=("enclose", "recursion", "sweep"), default="enclose")
     parser.add_argument("other")
     args = parser.parse_args()
 
@@ -92,8 +110,10 @@ def main() -> None:
         import corpus  # bench/corpus.py, read only
 
         tasks, run, passes = corpus.random_tasks(7) + corpus.anchor_tasks(), bound, PASSES
-    else:
+    elif args.workload == "recursion":
         tasks, run, passes = [None], recursion, RECURSION_PASSES
+    else:
+        tasks, run, passes = [None], sweep, SWEEP_PASSES
     this, other = load(ROOT, "isarith_this"), load(Path(args.other).resolve(), "isarith_other")
     for _ in range(2):  # warm both sides up
         for task in tasks[:20]:
