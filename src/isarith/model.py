@@ -28,7 +28,6 @@ from .interval import (
     _interval_products,
     _products,
     _quiet,
-    _round_sums,
     _stacked,
     _sub_up,
     _sums,
@@ -264,16 +263,12 @@ def _with_remainder(
 ) -> SuperpositionModel:
     """Model on m's domain whose given rows hold the stacked bounds minus the
     constant, whose other rows are zero, and which adds a scalar remainder r
-    as [-r, r] to one row: the row whose entries have the largest average
-    diameter, lowest index on ties.  The array padded is this function's own."""
-    bounds = _sums(bounds, _stacked(-const.hi, -const.lo))
-    if len(rows) < m.dim:
-        full = np.zeros((2, m.dim, m.branches))
-        full[:, rows] = bounds
-        bounds = full
+    as [-r, r] to one row.  Any row keeps the model sound, so the row is a
+    choice, not a bound: the one whose entries have the largest sum of plain
+    float diameters, lowest index on ties, padded zero rows included."""
+    full = np.zeros((2, m.dim, m.branches))
+    full[:, rows] = _sums(bounds, _stacked(-const.hi, -const.lo))
     if r > 0.0:
-        diams = _finite(_round_sums(bounds[1], -bounds[0], 1.0), "sum").tolist()
-        avg_diam = [sum(row) / len(row) for row in diams]
-        k = max(range(len(diams)), key=lambda i: (avg_diam[i], -i))
-        bounds[:, k : k + 1] = _sums(bounds[:, k : k + 1], r * _SIGNS)
-    return _model(m.domain, bounds, const)
+        k = int(np.argmax((full[1] - full[0]).sum(axis=1)))
+        full[:, k : k + 1] = _sums(full[:, k : k + 1], r * _SIGNS)
+    return _model(m.domain, full, const)

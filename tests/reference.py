@@ -94,8 +94,10 @@ def central_points(g, m):
         if lo == hi:
             continue
         if g is Atom.EXP:
-            # math.exp raises OverflowError past the largest float
-            centers[i] = _clamp(math.log(0.5 * (math.exp(hi) + math.exp(lo))), lo, hi)
+            try:
+                centers[i] = _clamp(math.log(0.5 * (math.exp(hi) + math.exp(lo))), lo, hi)
+            except (OverflowError, ValueError):  # e^hi overflows, or both ends underflow
+                centers[i] = _clamp(hi + math.log(0.5 + 0.5 * math.exp(lo - hi)), lo, hi)
         elif g is Atom.INV:
             if rb.lo + rb.hi == 0.0:
                 raise DomainViolation("reciprocal center undefined: range endpoints cancel")

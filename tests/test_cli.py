@@ -6,6 +6,7 @@ import math
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isarith
@@ -124,6 +125,25 @@ class TestBound:
         assert main([command, "--domain", "x1=[0,1];x2=[0,1]"] + expr_args) == 2
         captured = capsys.readouterr()
         assert "--expr is required" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("text, spec", [
+        ("exp(x1-1000)", "x1=[0,710]"),  # e^710 overflows, the range is below 1.2e-126
+        ("exp(-100*x1)", "x1=[8,9]"),  # both ends of the exp row underflow to 0
+    ])
+    def test_exp_whose_row_ends_leave_the_floats(self, text, spec, capsys):
+        assert main(["bound", "--expr", text, "--domain", spec]) == 0
+        (isa_lo, isa_hi), (ia_lo, ia_hi) = (
+            map(float, line.split()[1:]) for line in capsys.readouterr().out.splitlines()
+        )
+        e = expr.parse(text, 1)
+        box = parse_domain_spec(spec, 1).boxes[0]
+        for x in np.linspace(box.lo, box.hi, 2000):
+            v = expr.eval_point(e, [x])[0]
+            assert isa_lo <= v <= isa_hi and ia_lo <= v <= ia_hi
+
+    def test_exp_whose_range_overflows_exits_2(self, capsys):
+        assert main(["bound", "--expr", "exp(x1)", "--domain", "x1=[0,710]"]) == 2
+        assert "range error" in capsys.readouterr().err
 
     def test_bad_axis_name_exits_2(self, capsys):
         assert main(["bound", "--expr", "x1", "--domain", "foo=[0,1]"]) == 2

@@ -15,6 +15,7 @@ from isarith.model import (
     OutOfDomain,
     RangeBounds,
     _midpoints_and_radii,
+    _with_remainder,
     init_constant,
     init_variable,
 )
@@ -277,6 +278,46 @@ class TestCentering:
             assert Fraction(r) >= far
             inexact += Fraction(float(far)) != far
         assert inexact > 100  # the draws reach the rounding
+
+
+class TestWithRemainder:
+    """The rule result: given rows minus the constant, zero rows elsewhere,
+    and [-r, r] on the row with the largest sum of diameters, lowest index on
+    ties, padded rows included."""
+
+    D = Domain.of([(0, 1)] * 4, branches=3)
+    WIDE = [(0.1, 0.7), (-1.3, 2.9), (0.3, 0.3)]  # inexact sums with the constant
+    NARROW = [(0.2, 0.4), (-1.1, -1.0), (5.5, 5.6)]
+    POINTS = [(1.5, 1.5), (2.25, 2.25), (-0.75, -0.75)]  # minus 0.5: exact points
+
+    @staticmethod
+    def check(rows, windows, const, r, chosen):
+        out = _with_remainder(init_constant(TestWithRemainder.D, 0.0), rows,
+                              np.array(windows, dtype=float).transpose(2, 0, 1), const, r)
+        assert out.const == const
+        given = dict(zip(rows, windows))
+        for i in range(out.dim):
+            pad = Fraction(r) if i == chosen else 0
+            for j, (lo, hi) in enumerate(given.get(i, [(0.0, 0.0)] * out.branches)):
+                want_lo = Fraction(lo) - Fraction(const.hi if i in given else 0) - pad
+                want_hi = Fraction(hi) - Fraction(const.lo if i in given else 0) + pad
+                got_lo, got_hi = float(out.lo[i, j]), float(out.hi[i, j])
+                assert Fraction(got_lo) <= want_lo and want_hi <= Fraction(got_hi), (i, j)
+                if i != chosen:  # outward to the nearest floats, [0, 0] when padded
+                    assert Fraction(math.nextafter(got_lo, math.inf)) > want_lo
+                    assert Fraction(math.nextafter(got_hi, -math.inf)) < want_hi
+
+    def test_tied_wide_rows_go_to_the_lowest_index(self):
+        self.check([1, 2, 3], [self.WIDE, self.NARROW, self.WIDE], Interval(0.1, 0.2), 0.1, 1)
+
+    def test_the_widest_row_wins_over_lower_indices(self):
+        self.check([0, 2], [self.NARROW, self.WIDE], Interval(0.1, 0.2), 0.3, 2)
+
+    def test_a_padded_zero_row_ties_rows_whose_outputs_are_points(self):
+        self.check([1, 3], [self.POINTS, self.POINTS], Interval.point(0.5), 0.1, 0)
+
+    def test_no_remainder_leaves_every_row(self):
+        self.check([1, 3], [self.WIDE, self.NARROW], Interval(0.1, 0.2), 0.0, None)
 
 
 class TestSeparable:

@@ -43,9 +43,19 @@ class TestCentralPoints:
         assert abs(w.centers[0] - expected) < 1e-12
         assert w.omega.contains(w.centers[0])
 
-    def test_exp_center_past_the_largest_float_raises(self):
+    def test_exp_past_the_largest_float_centers_then_raises(self):
+        # e^709.8 overflows: the center is taken relative to the upper end,
+        # and the composition raises only on the windows that reach past it
+        m = make_model(unit_domain(1, 1), [[(0.0, 709.8)]])
+        a = central_points(Atom.EXP, m).centers[0]
+        assert abs(a - (709.8 - math.log(2.0))) < 1e-12
         with pytest.raises(OverflowError):
-            central_points(Atom.EXP, make_model(unit_domain(1, 1), [[(0.0, 709.8)]]))
+            compose(Atom.EXP, m)
+
+    @pytest.mark.parametrize("lo, hi", [(-900.0, -800.0), (-1e308, -1e300), (-1e308, 1e300)])
+    def test_exp_center_where_an_exponential_leaves_the_floats(self, lo, hi):
+        a = central_points(Atom.EXP, make_model(unit_domain(1, 1), [[(lo, hi)]])).centers[0]
+        assert lo <= a <= hi and a >= hi - math.log(2.0) - 1e-9 * abs(hi)
 
     def test_midpoint_atoms(self):
         m = make_model(unit_domain(1, 1), [[(0.0, 1.0)]])
