@@ -237,7 +237,11 @@ class _Builder:
         for c in kids:
             if self.nodes[c][0] != "const":
                 return self._add((kind, param) + kids)
-        return self.const(_apply("fl", kind, param, *[self.nodes[c][1] for c in kids]))
+        try:
+            v = _apply("fl", kind, param, *[self.nodes[c][1] for c in kids])
+        except OverflowError as err:  # the float ** and math.exp raise past the largest float
+            raise OverflowError("constant folded to a non-finite value") from err
+        return self.const(v)
 
 
 @dataclass(frozen=True)
@@ -332,6 +336,8 @@ _TOKEN = re.compile(
 #: Deepest nesting of parentheses and function calls that parse accepts; at
 #: four frames a level it stays clear of Python's default recursion limit.
 MAX_NESTING = 200
+
+_SLAB = 1 << 16  # lattice points per slab of eval_points, whose values stay in cache
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -482,24 +488,34 @@ def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     xs may also be a tuple of one array per variable that broadcast together,
     for the points of the broadcast shape in C order.  A node is computed on
     the broadcast of the arrays it reads: on an open grid, once per point of
-    the sub-lattice of the axes it depends on.
-
-    Raises the same domain errors as eval_point when any point violates them.
-    Intermediate arrays are freed as soon as their last consumer has run.
+    the sub-lattice of the axes it depends on, a slab of about _SLAB points
+    along the first axis at a time (an array of length 1 there is not sliced),
+    into one (m, outputs) array.  Raises eval_point's domain errors where any
+    point violates them: a failed slab walks the whole lattice once, for the
+    error of the earliest failing node over all points.
     """
     if isinstance(xs, tuple):
         if len(xs) != e.arity:
             raise ArityError(f"got {len(xs)} coordinate arrays, expression takes {e.arity}")
         coords = tuple(np.asarray(x, dtype=float) for x in xs)
-        shape = np.broadcast_shapes(*(x.shape for x in coords))
+        shape = np.broadcast_shapes(*(x.shape for x in coords)) or (1,)  # 0-d: one point
     else:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != e.arity:
             raise ArityError(f"expected an (m, {e.arity}) array, got {xs.shape}")
-        coords, shape = xs.T, xs.shape[:1]
-    outs = _walk(e, coords.__getitem__, float, partial(_apply, "np"),
-                 lambda v: np.isfinite(v).all())
-    return np.stack([np.broadcast_to(v, shape) for v in outs], axis=-1).reshape(-1, len(outs))
+        coords, shape = tuple(xs.T), xs.shape[:1]
+    walk = partial(_walk, e, const=float, op=partial(_apply, "np"), finite=lambda v: np.isfinite(v).all())
+    out = np.empty(shape + (len(e.outputs),))
+    step = max(1, _SLAB // max(1, math.prod(shape[1:])))
+    try:
+        for start in range(0, max(shape[0], 1), step):  # an empty lattice walks once, as one walk would
+            cut = [x[start:start + step] if x.ndim == len(shape) and len(x) > 1 else x for x in coords]
+            for j, v in enumerate(walk(cut.__getitem__)):
+                out[start:start + step, ..., j] = v
+    except (DomainViolation, OverflowError):
+        walk(coords.__getitem__)
+        raise
+    return out.reshape(-1, len(e.outputs))
 
 
 def eval_interval(e: Expr, box: Sequence[Interval]) -> tuple[Interval, ...]:

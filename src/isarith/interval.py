@@ -183,6 +183,12 @@ def _div_up(a: float, b: float) -> float:
     return _up(q) if _quotient_side(a, b, q) > 0 else q
 
 
+def _reaches_width(lo: float, hi: float, limit: float) -> bool:
+    """Is hi - lo, rounded up, at least limit?  A width that overflows is."""
+    s, err = _two_sum(hi, -lo)
+    return (s if err <= 0 else math.nextafter(s, _INF)) >= limit
+
+
 def _has_grid_point(lo: float, hi: float, offset: float, period: float) -> bool:
     """Is offset + k*period inside [lo, hi] for some integer k?
 
@@ -309,8 +315,7 @@ class Interval:
         """Image under sin or cos (f), whose maxima lie at peak + 2k*pi and
         minima at trough + 2k*pi: an extremum that may lie inside is exact,
         otherwise the endpoint values are widened by ULP_MARGIN ulps."""
-        # isinf: a width past the largest float, where diam raises OverflowError
-        if math.isinf(self.hi - self.lo) or self.diam >= math.tau:
+        if _reaches_width(self.lo, self.hi, math.tau):
             return Interval(-1.0, 1.0)
         vlo, vhi = f(self.lo), f(self.hi)
         lo, hi = _widened(min(vlo, vhi), max(vlo, vhi))
@@ -326,11 +331,10 @@ class Interval:
 
     def tan(self) -> Interval:
         # poles at pi/2 + k*pi; reject any interval that may touch one
-        # isinf: a width past the largest float, where diam raises OverflowError
-        wide = math.isinf(self.hi - self.lo) or self.diam >= math.pi
-        if wide or _has_grid_point(self.lo, self.hi, math.pi / 2, math.pi):
-            raise DomainViolation(f"tan over [{self.lo}, {self.hi}] spans a pole")
-        return Interval(*_widened(math.tan(self.lo), math.tan(self.hi)))
+        lo, hi = self.lo, self.hi
+        if _reaches_width(lo, hi, math.pi) or _has_grid_point(lo, hi, math.pi / 2, math.pi):
+            raise DomainViolation(f"tan over [{lo}, {hi}] spans a pole")
+        return Interval(*_widened(math.tan(lo), math.tan(hi)))
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
@@ -466,14 +470,9 @@ def _steps_arrays(x: np.ndarray, k: int, direction) -> np.ndarray:
 
 
 def _reaches(b: np.ndarray, limit: float) -> np.ndarray:
-    """Entries as wide as limit: a width past the largest float, or a diam
-    (rounded up) of at least limit."""
-    lo, hi = b
-    past = np.isinf(hi - lo)
-    diam = _round_sums(hi, -lo, 1.0)
-    if (np.isinf(diam) & ~past).any():
-        raise OverflowError("rounding up overflowed to a non-finite value")
-    return past | (diam >= limit)
+    """_reaches_width entrywise: a width past the largest float, or one whose
+    rounding up overflows, reaches any limit."""
+    return _round_sums(b[1], -b[0], 1.0) >= limit
 
 
 def _has_grid_points(lo, hi, offset, period: float) -> np.ndarray:

@@ -122,9 +122,9 @@ def sample_image(
     """Evaluate the expression on a lattice over the box, corners included,
     with `grid` points per axis (by default the most the budget holds).
 
-    `eval_points` gets the lattice as an open grid, so each node runs once per
-    point of the sub-lattice of the axes it reads; the points are still the
-    dense lattice's values, first axis slowest."""
+    `eval_points` fills one (m, outputs) array from the open grid slab by slab,
+    each node once per point of the sub-lattice of the axes it reads: the dense
+    lattice's values, first axis slowest, or the error the dense lattice raises."""
     n = len(box)
     if grid is None:
         grid = _grid_per_axis(budget, n)

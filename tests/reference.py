@@ -15,15 +15,20 @@ constant.  `model` turns such a pair back into a model for the next rule.
 The brute-force checkers live here too: `brute_force_range` enumerates every
 branch tuple of a model, and `remainder_violation_search` measures the
 composition defect at sampled offsets against the remainder bound.
+
+`eval_points` is the lattice evaluator as it ran before it went slab by slab:
+one walk over the whole lattice and a stack of the outputs.
 """
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 
 from conftest import admissible_offsets, coeffs, defect_noise_floor, defect_values, make_model, mid
 from isarith.bivariate import _CAP_SLACK, ProductWorkspace, RemainderCapExceeded
+from isarith.expr import ArityError, _apply, _walk
 from isarith.interval import DomainViolation, Interval, _add_down, _add_up, _mul_up, _sub_up
 from isarith.model import RangeBounds
 from isarith.oracle import DEFAULT_BUDGET, BudgetExceeded
@@ -221,3 +226,21 @@ def remainder_violation_search(g, m, trials=10_000, seed=0):
     omega = mid(w.omega)
     resolution = defect_noise_floor(g, omega, deltas) / 2
     return float(defect_values(g, omega, deltas).max() - resolution) - r
+
+
+def eval_points(e, xs):
+    """`expr.eval_points` on the whole lattice at once: (m, arity) points or
+    one coordinate array per variable, broadcast together."""
+    if isinstance(xs, tuple):
+        if len(xs) != e.arity:
+            raise ArityError(f"got {len(xs)} coordinate arrays, expression takes {e.arity}")
+        coords = tuple(np.asarray(x, dtype=float) for x in xs)
+        shape = np.broadcast_shapes(*(x.shape for x in coords))
+    else:
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != e.arity:
+            raise ArityError(f"expected an (m, {e.arity}) array, got {xs.shape}")
+        coords, shape = xs.T, xs.shape[:1]
+    outs = _walk(e, coords.__getitem__, float, partial(_apply, "np"),
+                 lambda v: np.isfinite(v).all())
+    return np.stack([np.broadcast_to(v, shape) for v in outs], axis=-1).reshape(-1, len(outs))

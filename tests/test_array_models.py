@@ -21,6 +21,7 @@ from isarith.interval import (
     _SPLIT_LIMIT,
     PI_HALF,
     ULP_MARGIN,
+    DomainViolation,
     Interval,
     _add_down,
     _add_up,
@@ -206,6 +207,21 @@ class TestPrimitives:
             assert same_bits(got[1][1].ravel(), [w[1].hi for w in want])
             compared += 1
         assert compared >= 20
+
+
+    @pytest.mark.parametrize("name", ["sin", "cos", "tan"])
+    def test_widths_whose_upward_rounding_overflows(self, name):
+        # hi - lo rounds to the largest float or past it: wider than any period
+        top = 1.7976931348623157e308
+        pairs = [(-top, 710.0), (-710.0, top), (-top, 0.5), (-1e-300, top), (-top, top), (-1e308, 1e308)]
+        for lo, hi in pairs:
+            got = outcome(_quiet(lambda: _ARRAY_RULES[name](np.array([lo, hi]).reshape(2, 1, 1))))
+            want = outcome(lambda: getattr(Interval(lo, hi), name)())
+            if name == "tan":
+                assert got == want == ("raise", DomainViolation), (lo, hi)
+            else:
+                assert want == ("ok", Interval(-1.0, 1.0)) and got[0] == "ok", (lo, hi, got)
+                assert same_bits(got[1].ravel(), [-1.0, 1.0])
 
 
 class TestRulesAgainstReference:

@@ -145,6 +145,20 @@ class TestBound:
         assert main(["bound", "--expr", "exp(x1)", "--domain", "x1=[0,710]"]) == 2
         assert "range error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["(1e300)^2+x1", "exp(1000)+x1"])
+    def test_constant_fold_overflow_exits_2(self, text, capsys):
+        # the float ** and math.exp raise OverflowError of their own
+        assert main(["bound", "--expr", text, "--domain", "x1=[0,1]"]) == 2
+        assert capsys.readouterr().err == "error: constant folded to a non-finite value\n"
+
+    def test_sin_over_a_width_whose_rounding_overflows(self, capsys):
+        # 710 - (-max) rounds to the largest float, and rounding it up overflows
+        assert main(["bound", "--expr", "sin(-x1)", "--domain", "x1=[-1.7976931348623157e308,710]"]) == 0
+        (isa_lo, isa_hi), (ia_lo, ia_hi) = (
+            map(float, line.split()[1:]) for line in capsys.readouterr().out.splitlines()
+        )
+        assert (ia_lo, ia_hi) == (-1.0, 1.0) and isa_lo <= -1.0 and 1.0 <= isa_hi
+
     def test_bad_axis_name_exits_2(self, capsys):
         assert main(["bound", "--expr", "x1", "--domain", "foo=[0,1]"]) == 2
         assert "bad axis name" in capsys.readouterr().err

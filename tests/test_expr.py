@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from conftest import coeffs, is_separable, row
 
+from isarith import cli
 from isarith.bivariate import product_workspace
 from isarith.expr import (
+    _SLAB,
     MAX_NESTING,
     ArityError,
     Expr,
@@ -191,6 +194,77 @@ class TestEvalPoint:
         for row, x in zip(batch, xs):
             single = eval_point(e, tuple(x))
             assert np.allclose(row, single, rtol=1e-13, atol=1e-15)
+
+
+
+def _open_grid(box, k):
+    """One coordinate array per axis of the k-per-axis lattice over the box,
+    first axis slowest, as sample_image builds it."""
+    return tuple(np.meshgrid(*(np.linspace(lo, hi, k) for lo, hi in box), indexing="ij", sparse=True))
+
+
+class TestSlabs:
+    """eval_points walks the lattice slab by slab into one output array; its
+    values, shapes and errors must be those of one walk over the whole
+    lattice (reference.eval_points), byte for byte."""
+
+    @pytest.mark.parametrize("texts, box, k", [
+        ([cli.SHOWCASE_EXPR], [(0.0, 1.0), (0.0, 5.0)], 1000),
+        # outputs that read a subset of the axes
+        (["x2", "sin(x1)", "x1*x3"], [(-1.0, 1.0), (0.0, 2.0), (3.0, 4.0)], 60),
+        (["x1", "2.5"], [(0.0, 1.0)] * 2, 400),  # a constant output
+        ([cli.SHOWCASE_EXPR], [(0.0, 1.0), (0.7, 0.7)], 400),  # a zero-width axis
+        (["exp(x1)"], [(0.0, 1.0)], 3 * _SLAB + 5),
+    ])
+    def test_open_grid_matches_one_walk(self, texts, box, k):
+        e = parse_vector(texts, len(box))
+        xs = _open_grid(box, k)
+        assert k ** len(box) > 2 * _SLAB
+        got, want = eval_points(e, xs), reference.eval_points(e, xs)
+        assert got.shape == want.shape == (k ** len(box), len(texts))
+        assert got.tobytes() == want.tobytes()
+
+    def test_recursion_map_at_depth_three(self):
+        e = self_compose(parse_vector(cli.RECURSION_TEXTS, 3), 3)
+        box = [(b.lo, b.hi) for b in cli.parse_domain_spec(cli.RECURSION_DOMAIN, 1).boxes]
+        xs = _open_grid(box, 46)  # the bench pass's 10^5-point lattice
+        got, want = eval_points(e, xs), reference.eval_points(e, xs)
+        assert got.shape == want.shape == (46**3, 3) and got.tobytes() == want.tobytes()
+
+    def test_dense_points_off_the_slab_multiple(self):
+        e = parse_vector(F1_TEXTS, 3)
+        xs = np.random.default_rng(43).uniform(-0.7, 0.7, size=(3 * _SLAB + 123, 3))
+        got, want = eval_points(e, xs), reference.eval_points(e, xs)
+        assert got.shape == want.shape == (len(xs), 3) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("texts, xs", [
+        (["x1*x2", "sin(x2)", "3.0"], np.zeros((0, 2))),
+        (["x1*x2", "sin(x2)", "3.0"], (np.zeros((0, 1)), np.ones((1, 5)))),
+        (["x1*x2", "sin(x2)", "3.0"], (np.ones((5, 1)), np.zeros((1, 0)))),
+        (["x1*x2", "sin(x2)", "3.0"], (np.float64(0.25), np.float64(0.5))),
+        (["x1*x2", "sin(x2)", "3.0"], (np.float64(0.25), np.linspace(0.0, 1.0, 7))),
+        # a row wider than a slab: one row at a time
+        (["x1*x2", "sin(x2)", "3.0"], (np.linspace(0.0, 1.0, 3)[:, None], np.linspace(0.0, 1.0, _SLAB + 9))),
+        (["2.5", "-1.0"], ()),
+    ])
+    def test_empty_zero_dimensional_and_wide_rows(self, texts, xs):
+        e = parse_vector(texts, len(xs) if isinstance(xs, tuple) else xs.shape[1])
+        got, want = eval_points(e, xs), reference.eval_points(e, xs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_error_is_the_earliest_failing_node_over_all_points(self):
+        # exp (node 3) overflows past x1 = 0.7098 only; the first slab, all
+        # below 0.5, fails later at log (node 6)
+        e = parse("exp(1000*x1) + log(x1-0.5)", 1)
+        x1 = np.linspace(0.0, 1.0, 3 * _SLAB)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainViolation, match=r"^node 6 \(un\): log"):
+                eval_points(e, (x1[:_SLAB],))
+            for xs in ((x1,), x1[:, None]):
+                with pytest.raises(OverflowError, match="^intermediate value overflowed$"):
+                    reference.eval_points(e, xs)
+                with pytest.raises(OverflowError, match="^intermediate value overflowed$"):
+                    eval_points(e, xs)
 
 
 class TestEvalInterval:

@@ -4,10 +4,14 @@
 
 Imports isarith from src/ of the checkout this file sits in and writes the
 three `experiment sweep` CSVs, `experiment recursion --depth 8`, three
-`bound` outputs, `compare` on the showcase without its `wall_ms` column, and
+`bound` outputs, `compare` on the showcase without its `wall_ms` column,
 one line per task of the bench corpora of seeds 7 and 11: a digest of every
 model's matrix bits, constant and range and of its values at every branch
-endpoint of each axis and the box top, or the class of the exception.
+endpoint of each axis and the box top, or the class of the exception, and
+one line per oracle image that `experiment sweep` (its 120 default boxes) and
+the bench `recursion` pass (depths 1-3, 10^5 points) sample: a digest of the
+sampled points' bytes, which the CSVs, reading only hulls and distances,
+would not show.
 Run it on two checkouts; an empty `diff -r` of the two directories means no
 output changed.
 """
@@ -25,6 +29,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import corpus  # noqa: E402  (bench/corpus.py, read only)
 from isarith import cli  # noqa: E402
+from isarith.interval import Interval  # noqa: E402
 from isarith.model import init_variable  # noqa: E402
 
 BOUNDS = (
@@ -75,6 +80,26 @@ def digest(task: corpus.Task) -> str:
     return h.hexdigest()
 
 
+def sample_digests():
+    """(name, digest of the sampled points or the exception class) of every
+    image `run_sweep` with its defaults and `run_recursion(depth=3,
+    grid_budget=10**5)` sample, in their order."""
+    showcase = cli.parse(cli.SHOWCASE_EXPR, 2)
+    images = [(f"sweep {x1_top:g} {float(x2_top)!r}", showcase,
+               (Interval(0.0, float(x1_top)), Interval(0.0, float(x2_top))), cli.DEFAULT_BUDGET)
+              for x1_top in cli.SWEEP_X1_TOPS for x2_top in np.geomspace(0.1, 20.0, 40)]
+    base = cli.parse_vector(cli.RECURSION_TEXTS, 3)
+    box = cli.parse_domain_spec(cli.RECURSION_DOMAIN, 20).boxes
+    images += [(f"recursion {k}", cli.self_compose(base, k), box, 10**5) for k in (1, 2, 3)]
+    for name, e, box, budget in images:
+        try:
+            points = cli.sample_image(e, box, budget=budget).points
+        except (ArithmeticError, ValueError) as err:  # typed failures
+            yield name, type(err).__name__
+            continue
+        yield name, hashlib.sha256(points.tobytes()).hexdigest()
+
+
 def main(out_dir: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -92,6 +117,7 @@ def main(out_dir: str) -> None:
         for seed in (7, 11):
             for task in corpus.random_tasks(seed) + corpus.anchor_tasks():
                 fh.write(f"{seed} {task.name} {digest(task)}\n")
+    (out / "samples.txt").write_text("".join(f"{name} {d}\n" for name, d in sample_digests()))
 
 
 if __name__ == "__main__":
