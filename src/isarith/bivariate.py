@@ -8,7 +8,8 @@ alpha * beta in each row where either factor has width, and absorbs the
 cross-row products of the offsets into a scalar remainder added to one row.
 The remainder R is a product of total radii minus the aligned-row radii
 products, hence zero whenever the factors are wide in at most one common row,
-and never more than a quarter of the product of the range widths.
+and in exact arithmetic never more than a quarter of the product of the range
+widths; the check of that cap allows for the ulps the float centering loses.
 
 Subtraction and division are derived: a - b = a + neg(b) and a / b is the
 product with the reciprocal of b.  Constant factors never route through the
@@ -17,12 +18,14 @@ product rule; scalar_affine folds them exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .interval import Interval, _add_down, _add_floats, _add_up, _interval_products, _mul_down
 from .interval import _mul_up, _quiet, _sub_up, _sums
 from .model import (
     DomainMismatch,
+    RangeBounds,
     SuperpositionModel,
     _affine,
     _midpoints_and_radii,
@@ -74,7 +77,34 @@ def _same_domain(ma: SuperpositionModel, mb: SuperpositionModel) -> None:
         raise DomainMismatch("models live on different domains; re-grid before combining")
 
 
+def _cap_width(rb: RangeBounds) -> float:
+    """The range width plus 8 ulps of the larger end of each row with width:
+    at least twice the sum of the row radii `_midpoints_and_radii` returns."""
+    width = _sub_up(rb.hi, rb.lo)
+    for lo, hi in zip(rb.row_lo, rb.row_hi):
+        if lo < hi:
+            width = _add_up(width, 8.0 * math.ulp(max(abs(lo), abs(hi))))
+    return width
+
+
 def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> ProductWorkspace:
+    """Centering scalars and the remainder bound of ma * mb; raises
+    RemainderCapExceeded where the remainder breaks the quarter-width cap.
+
+    In exact arithmetic each row's radius is half its width w, and the widths
+    sum to at most the range width W, so the remainder, a sum of radius
+    products over pairs of distinct rows, is at most W_a * W_b / 4.  The float
+    radii can exceed w / 2.  With U = ulp(max(|lo|, |hi|)) of a row, every
+    value below lies within 2 max(|lo|, |hi|), where floats are at most 2U
+    apart.  hi - lo rounds by at most U, which the halving halves; the halving
+    itself rounds by at most U / 2, and only below the normal range; adding lo
+    rounds by at most U; clamping into [lo, hi] only moves the center toward
+    the true midpoint.  So the center lies within 2U of the midpoint, and the
+    distance to the farther end, at most w / 2 + 2U, gains less than 2U when
+    rounded up: a radius is below w / 2 + 4U.  The cap therefore takes each W
+    plus 8U for every row with width (`_cap_width`).  A row one ulp wide needs
+    that allowance: its center is one of its ends, its radius its whole width.
+    """
     _same_domain(ma, mb)
     n = ma.dim
     rba = ma.range_bounds()
@@ -95,7 +125,7 @@ def product_workspace(ma: SuperpositionModel, mb: SuperpositionModel) -> Product
             cross_lo = _add_down(cross_lo, _mul_down(ra[i], rbb[i]))
         remainder = max(0.0, _add_up(_mul_up(sum_a, sum_b), -cross_lo))
 
-    cap = _mul_up(0.25, _mul_up(_sub_up(rba.hi, rba.lo), _sub_up(rbx.hi, rbx.lo)))
+    cap = _mul_up(0.25, _mul_up(_cap_width(rba), _cap_width(rbx)))
     if remainder > cap * (1.0 + _CAP_SLACK) + 1e-300:
         raise RemainderCapExceeded(
             f"product remainder {remainder} exceeds the quarter-width cap {cap}"

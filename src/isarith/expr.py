@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .interval import PI_HALF, DomainViolation, Interval
+from .interval import PI_HALF, DomainViolation, Interval, _quiet
 from .model import Domain, SuperpositionModel, init_constant, init_variable, _affine
 from .univariate import Atom, _by_squaring, compose, cot_model, pow_model, recip_model, sqrt_model
 from .bivariate import add_models, div_models, mul_models, scalar_affine, sub_models
@@ -476,12 +476,18 @@ def to_text(e: Expr, output: int = 0) -> str:
 
 
 def eval_point(e: Expr, x: Sequence[float]) -> tuple[float, ...]:
-    """Evaluate all outputs at a point in working precision."""
+    """Evaluate all outputs at a point in working precision.  An overflow
+    raises OverflowError("intermediate value overflowed"), as in eval_points,
+    also where math.exp or the float ** raise one of their own."""
     if len(x) != e.arity:
         raise ArityError(f"point has {len(x)} coordinates, expression takes {e.arity}")
-    return _walk(e, lambda i: float(x[i]), float, partial(_apply, "fl"), math.isfinite)
+    try:
+        return _walk(e, lambda i: float(x[i]), float, partial(_apply, "fl"), math.isfinite)
+    except OverflowError as err:
+        raise OverflowError("intermediate value overflowed") from err
 
 
+@_quiet  # every node's value is checked for finiteness
 def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     """Vectorized eval_point over an (m, arity) array; returns (m, outputs).
 

@@ -31,8 +31,10 @@ DEFAULT_BUDGET = 10**6
 _CHUNK = 1 << 16
 #: index blocks per axis that the enclosure scan cuts its lattice into
 _BLOCKS_PER_AXIS = 8
-#: eps of the approximate midpoint queries that order the scan's blocks
+#: eps of the approximate queries that bound the scan's blocks and points
 _MID_EPS = 2.0
+#: exact point queries of a batch that set its maximum before the rest
+_FIRST_POINTS = 8
 
 
 class BudgetExceeded(ValueError):
@@ -153,10 +155,16 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     real sample up to 1 + _MID_EPS times farther than the nearest, at the
     tree's own rounding of its distance, so the slack below covers it as it
     covers an exact one.  A batch the scan reaches queries its distinct
-    midpoints exactly for the block bound, bounds each point by its distance
-    to the sample nearest its block's midpoint, and queries only the distinct
-    points whose bound exceeds the maximum.  The skipped points cannot raise
-    it, so the result is the exhaustive scan's to the last bit.
+    midpoints exactly for the block bound and bounds each point by its
+    distance to the sample nearest its block's midpoint.  The distinct points
+    whose bound exceeds the maximum get a second level: one approximate query,
+    whose returned sample bounds each point again, the smaller of the two
+    bounds kept, each padded by the same slack.  They are then queried exactly
+    by falling bound, the first _FIRST_POINTS alone, the rest in one query once
+    those have raised the maximum and dropped every point whose bound no longer
+    exceeds it.  Every bound is a distance to a real sample, and the nearest
+    one is never farther, so a skipped point cannot raise the maximum: the
+    result is the exhaustive scan's to the last bit.
     """
     # finite coordinates keep every midpoint and reach below the largest float
     if not np.isfinite(coords).all():
@@ -196,10 +204,25 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
         # bound is at most the maximum cannot raise it, and a repeated point (a
         # zero-width axis, an edge block) cannot change a maximum either.
         ub = np.abs(points - img.points[nearest, None]).max(axis=2)
-        points = points[ub + slack * (scale[batch, None] + ub) > worst]
-        if len(points):
-            dists, _ = tree.query(_distinct(points)[0], k=1, p=np.inf)
-            worst = max(worst, float(dists.max()))
+        top = scale[batch].max(initial=0.0)  # the batch's largest coordinate
+        live = ub + slack * (top + ub) > worst
+        if live.any():
+            # any copy's bound serves each copy of a point
+            points, inverse = _distinct(points[live])
+            point_ub = np.empty(len(points))
+            point_ub[inverse] = ub[live]
+            # the sample an approximate query returns is a real one, so its
+            # distance by the tree's formula bounds the point as well
+            sample = img.points[tree.query(points, k=1, p=np.inf, eps=_MID_EPS)[1]]
+            point_ub = np.minimum(point_ub, np.abs(points - sample).max(axis=1))
+            point_ub += slack * (top + point_ub)
+            # exact queries by falling bound: the first few raise the maximum,
+            # which prunes the rest before one query of the survivors
+            ranked = np.argsort(-point_ub, kind="stable")
+            for group in (ranked[:_FIRST_POINTS], ranked[_FIRST_POINTS:]):
+                group = group[point_ub[group] > worst]
+                if len(group):
+                    worst = max(worst, float(tree.query(points[group], k=1, p=np.inf)[0].max()))
         start += size
         size = min(2 * size, most)
     return worst
@@ -228,8 +251,11 @@ def hausdorff_enclosure(
     with the same budget discipline as the sampler.  The lattice is cut into
     equal index blocks and scanned by branch and bound (`_farthest`): a
     block whose midpoint distance plus half-width cannot beat the maximum
-    found is never queried, which skips most of the lattice on a contracting
-    image and returns the maximum over every lattice point, bit for bit.
+    found is never queried, and in a block that is, a point is queried exactly
+    only where neither the sample nearest the block's midpoint nor the one an
+    approximate query returns rules it out.  That skips most of the lattice on
+    a contracting image and returns the maximum over every lattice point, bit
+    for bit: any real sample bounds a point's distance to the nearest one.
     """
     m = img.n_outputs
     if len(enclosure) != m:
@@ -272,8 +298,10 @@ def hausdorff_piecewise(
     the models do not claim.  Each cell's lattice is one block of the branch
     and bound scan (`_farthest`): a cell whose midpoint distance plus
     half-width cannot beat the maximum found is never queried, so most cells
-    cost one approximate midpoint query, and the result is the maximum over
-    each cell's lattice, bit for bit.
+    cost one approximate midpoint query; in a cell that is, a point is queried
+    exactly only where neither the sample nearest the cell's midpoint nor the
+    one an approximate query returns rules it out.  The result is the maximum
+    over each cell's lattice, bit for bit.
     """
     if not models:
         raise ValueError("need at least one component model")

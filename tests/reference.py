@@ -117,6 +117,15 @@ def central_points(g, m):
     return CompositionWorkspace(tuple(centers), omega, spreads)
 
 
+def cap_width(rb):
+    """The range width plus 8 ulps of the larger end of each row with width."""
+    width = Interval.point(rb.hi) - rb.lo
+    for lo, hi in zip(rb.row_lo, rb.row_hi):
+        if lo < hi:
+            width = width + 8.0 * math.ulp(max(abs(lo), abs(hi)))
+    return width.hi
+
+
 def product_workspace(ma, mb):
     """bivariate.product_workspace one Interval operation at a time."""
     n = ma.dim
@@ -140,7 +149,7 @@ def product_workspace(ma, mb):
             cross = cross + Interval.point(ra[i]) * rbb[i]
         remainder = max(0.0, (sum_a * sum_b - cross).hi)
 
-    cap = _mul_up(0.25, _mul_up(_sub_up(rba.hi, rba.lo), _sub_up(rbx.hi, rbx.lo)))
+    cap = _mul_up(0.25, _mul_up(cap_width(rba), cap_width(rbx)))
     if remainder > cap * (1.0 + _CAP_SLACK) + 1e-300:
         raise RemainderCapExceeded(
             f"product remainder {remainder} exceeds the quarter-width cap {cap}"

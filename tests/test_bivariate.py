@@ -1,10 +1,14 @@
 """Model addition, the product rule, and derived subtraction/division."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from conftest import coeffs, make_model, mid, random_model_for_atom, unit_domain
 from isarith.bivariate import (
+    _CAP_SLACK,
     add_models,
     div_models,
     mul_models,
@@ -148,6 +152,31 @@ class TestMul:
             ra, rbb = a.range_bounds(), b.range_bounds()
             cap = 0.25 * (ra.hi - ra.lo) * (rbb.hi - rbb.lo)
             assert w.remainder <= cap * (1 + 1e-10) + 1e-300
+
+    @pytest.mark.parametrize("lo", [-1.1454123247037766, 1.0, -1.0, 3e5, -7.5e-8])
+    @pytest.mark.parametrize("ulps", [1, 2, 3])
+    def test_cap_allows_the_ulps_the_centering_loses(self, lo, ulps):
+        # a row a few ulps wide cannot hold its midpoint: its float center is
+        # a float of the row, and its radius exceeds half the width unless
+        # the width is an even number of ulps.  The radius stays below half
+        # the width plus 4 ulps of the row's larger end, and the cap allows 8
+        # of them on each range width
+        hi = lo
+        for _ in range(ulps):
+            hi = math.nextafter(hi, math.inf)
+        d = Domain.of([(0.0, 1.0), (0.0, 1.0)], branches=2)
+        a = make_model(d, [[(lo, hi)] * 2, [(0.0, 0.0)] * 2])
+        b = make_model(d, [[(0.0, 0.0)] * 2, [(lo, hi)] * 2])
+        w = product_workspace(a, b)
+        width, u = Fraction(hi) - Fraction(lo), Fraction(math.ulp(max(abs(lo), abs(hi))))
+        r = Fraction(w.radii_a[0])
+        assert r == Fraction(w.radii_b[1]) == {1: width, 2: width / 2, 3: 2 * width / 3}[ulps]
+        assert width / 2 <= r < width / 2 + 4 * u
+        remainder = Fraction(w.remainder)
+        assert remainder == r * r  # one cross product, exact at these magnitudes
+        assert remainder <= (width + 8 * u) ** 2 / 4
+        # the exact-arithmetic cap is too small for an odd number of ulps
+        assert (remainder > width**2 / 4 * (1 + Fraction(_CAP_SLACK))) == (ulps % 2 == 1)
 
     def test_same_axis_separable_factors_have_zero_remainder(self):
         d = Domain.of([(0, 1), (0, 1), (0, 1)], branches=2)

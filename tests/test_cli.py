@@ -141,6 +141,23 @@ class TestBound:
             v = expr.eval_point(e, [x])[0]
             assert isa_lo <= v <= isa_hi and ia_lo <= v <= ia_hi
 
+    def test_product_of_rows_one_ulp_wide(self, capsys):
+        # each row is one ulp wide, so its float center is one of its ends
+        # and its radius the whole width: the remainder is 4x the
+        # exact-arithmetic quarter-width cap, inside the cap the float
+        # centering allows
+        text, lo, hi = "x3*x1", -1.1454123247037766, -1.1454123247037764
+        spec = f"x1=[{lo!r},{hi!r}];x2=[0,1];x3=[{lo!r},{hi!r}]"
+        assert main(["bound", "--expr", text, "--domain", spec, "-N", "4"]) == 0
+        (isa_lo, isa_hi), (ia_lo, ia_hi) = (
+            map(float, line.split()[1:]) for line in capsys.readouterr().out.splitlines()
+        )
+        e = expr.parse(text, 3)
+        axes = [np.linspace(b.lo, b.hi, 7) for b in parse_domain_spec(spec, 4).boxes]
+        for x in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3):
+            v = expr.eval_point(e, x)[0]
+            assert isa_lo <= v <= isa_hi and ia_lo <= v <= ia_hi
+
     def test_exp_whose_range_overflows_exits_2(self, capsys):
         assert main(["bound", "--expr", "exp(x1)", "--domain", "x1=[0,710]"]) == 2
         assert "range error" in capsys.readouterr().err

@@ -83,7 +83,7 @@ def test_bound_ends_in_a_result_or_a_typed_error(case):
     text, box, branches, seed = case
     spec = ";".join(f"x{i + 1}=[{lo!r},{hi!r}]" for i, (lo, hi) in enumerate(box))
     status, out = bound(["bound", f"--expr={text}", f"--domain={spec}", "-N", str(branches)])
-    assert status in (0, 2, 3)
+    assert status in (0, 2)  # exit 3, a soundness violation, is a bug on any input
     if status != 0:
         return
     enclosures = [tuple(map(float, line.split()[1:])) for line in out.splitlines()]

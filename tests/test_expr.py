@@ -1,6 +1,7 @@
 """Parser, DAG structure, and the three evaluators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,18 @@ class TestEvalPoint:
             eval_point(parse("log(x1)", 1), (-1.0,))
         with pytest.raises(DomainViolation):
             eval_point(parse("x1/x2", 2), (1.0, 0.0))
+
+    @pytest.mark.parametrize("text, x", [("exp(x1)", 1000.0), ("x1^2", 1e300), ("x1*x1", 1e300)])
+    def test_overflow_is_one_typed_error_without_warnings(self, text, x):
+        # math.exp and the float ** raise messages of their own, and numpy
+        # warns before the finite check sees its value
+        e = parse(text, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for evaluate, point in ((eval_point, [x]), (eval_points, np.array([[x]])),
+                                    (eval_points, (np.array([x]),))):
+                with pytest.raises(OverflowError, match="^intermediate value overflowed$"):
+                    evaluate(e, point)
 
     def test_vectorized_agrees_with_scalar(self):
         e = parse_vector(F1_TEXTS, 3)

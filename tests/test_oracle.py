@@ -261,22 +261,29 @@ class TestBlockScan:
         assert oracle._farthest(img, blocks) == hi - s0
 
     @settings(max_examples=100, deadline=None)
-    @given(_scan_cases())
-    def test_a_loose_midpoint_query_keeps_the_scan_exact(self, case):
-        # any real sample bounds a block, however far it lies from the
-        # nearest, so a far looser approximate query only costs queries
+    @given(_scan_cases(), st.sampled_from([1, 8]))
+    def test_a_loose_midpoint_query_keeps_the_scan_exact(self, case, first):
+        # any real sample bounds a block or a point, however far it lies from
+        # the nearest, so far looser approximate queries of the midpoints and
+        # the points only cost exact queries, and so does a first group of
+        # exact point queries of any size
         img, lo, hi, k = case
         boxes = [list(zip(a, b)) for a, b in zip(lo, hi)]
+        box = [(min(a, h.lo), max(b, h.hi)) for a, b, h in zip(lo[0], hi[0], img.per_axis_hull)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_MID_EPS", 1e6)
+            patch.setattr(oracle, "_FIRST_POINTS", first)
             got = oracle._farthest(img, oracle._linspace(lo, hi, k))
+            enclosure = hausdorff_enclosure(img, [Interval(*b) for b in box], budget=(3 * k) ** len(box))
         assert got == _exhaustive(img, boxes, k)
+        assert enclosure == _exhaustive(img, [box], 3 * k)
 
     @staticmethod
-    def depth_one(monkeypatch, queried=None):
+    def depth_one(monkeypatch, queried=None, exact=None):
         """Depth 1 of run_recursion on a 10^5 grid, its scan budget included:
         the image, the boxes, both distances and the points each scan queried;
-        `queried` is left holding the piecewise scan's queries."""
+        `queried` is left holding the piecewise scan's queries and `exact`
+        its exact ones."""
         grid_budget, branches = 10**5, 20
         scan_budget = min(grid_budget, 200_000)
         base = parse_vector(cli.RECURSION_TEXTS, 3)
@@ -288,9 +295,10 @@ class TestBlockScan:
         img = sample_image(self_compose(base, 1), domain0.boxes, budget=grid_budget)
 
         queried = [] if queried is None else queried
-        monkeypatch.setattr(oracle, "cKDTree", _counting_tree(queried))
+        exact = [] if exact is None else exact
+        monkeypatch.setattr(oracle, "cKDTree", _counting_tree(queried, exact))
         d_ia = hausdorff_enclosure(img, ia_boxes, budget=scan_budget)
-        enclosure_points, queried[:] = sum(map(len, queried)), []
+        enclosure_points, queried[:], exact[:] = sum(map(len, queried)), [], []
         d_isa = hausdorff_piecewise(img, models, clip=clip, budget=scan_budget)
         piecewise_points = sum(map(len, queried))
         monkeypatch.undo()
@@ -328,23 +336,30 @@ class TestBlockScan:
     def test_recursion_map_queries_only_reached_midpoints_exactly(self, monkeypatch):
         # the first piecewise query holds every cell's midpoint, answered
         # approximately; the exact re-queries hold only the midpoints of the
-        # batches the scan reaches (1,335 of the 8,000, next to 3,002 lattice
-        # points)
-        queried = []
-        self.depth_one(monkeypatch, queried)
+        # batches the scan reaches (1,335 of the 8,000).  An approximate
+        # nearest sample bounds each lattice point of those cells, so few of
+        # them are queried exactly (74, where the sample nearest each cell's
+        # midpoint alone left 3,002)
+        queried, exact = [], []
+        self.depth_one(monkeypatch, queried, exact)
         midpoints, *scans = queried
         assert len(midpoints) == 20**3
         known = {tuple(p) for p in midpoints}
         requeried = sum(len(q) for q in scans if known.issuperset(map(tuple, q)))
         assert 0 < requeried < 20**3 / 4
+        lattice_points = sum(len(q) for q in exact if not known.issuperset(map(tuple, q)))
+        assert 0 < lattice_points < 300
 
 
-def _counting_tree(queried):
-    """cKDTree whose queries append their points to the list."""
+def _counting_tree(queried, exact=None):
+    """cKDTree whose queries append their points to the list, and whose exact
+    (eps 0) queries append them to `exact` too, where given."""
 
     class CountingTree(cKDTree):
         def query(self, x, *args, **kwargs):
             queried.append(np.array(x))
+            if exact is not None and not kwargs.get("eps", 0):
+                exact.append(queried[-1])
             return super().query(x, *args, **kwargs)
 
     return CountingTree

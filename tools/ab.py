@@ -14,7 +14,10 @@ alternately, flipping which side goes first every time.
   time ratio this / other.
 - `recursion` runs `run_recursion(depth=3, branches=20, grid_budget=10**5)`,
   the bench workload's pass, RECURSION_PASSES times per side, pass by pass.
-  Both sides must give `repr`-equal rows.  Each pass prints its time ratio.
+  Both sides must give `repr`-equal rows.  Each pass prints its time ratio
+  and, for each side, the points its kd-trees queried exactly (eps 0) and
+  approximately, counted by a cKDTree subclass patched into each side's
+  oracle.
 - `sweep` runs `run_sweep(points=40, grid_budget=10**6)`, SWEEP_PASSES times
   per side, pass by pass, each into a fresh temporary directory.  Both sides
   must write byte-identical CSVs and the same standard error, whose warnings
@@ -57,6 +60,20 @@ def load(checkout: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
+
+
+def count_queries(oracle) -> dict[str, int]:
+    """Patch the oracle module's cKDTree with a subclass that adds up the
+    points of its exact and approximate queries; returns the running counts."""
+    counts = {"exact": 0, "approx": 0}
+
+    class CountingTree(oracle.cKDTree):
+        def query(self, x, *args, **kwargs):
+            counts["approx" if kwargs.get("eps", 0) else "exact"] += len(x)
+            return super().query(x, *args, **kwargs)
+
+    oracle.cKDTree = CountingTree
+    return counts
 
 
 def bound(cli, task) -> tuple[float, bytes | str]:
@@ -115,12 +132,16 @@ def main() -> None:
     else:
         tasks, run, passes = [None], sweep, SWEEP_PASSES
     this, other = load(ROOT, "isarith_this"), load(Path(args.other).resolve(), "isarith_other")
+    counts = {side: count_queries(importlib.import_module(f"isarith_{side}.oracle"))
+              for side in ("this", "other")}
     for _ in range(2):  # warm both sides up
         for task in tasks[:20]:
             run(this, task), run(other, task)
     ratios = []
     for k in range(passes):
         spent = {"this": 0.0, "other": 0.0}
+        for c in counts.values():
+            c.update(exact=0, approx=0)
         for i, task in enumerate(tasks):
             order = (("this", this), ("other", other)) if (i + k) % 2 == 0 else (("other", other), ("this", this))
             out = {}
@@ -132,6 +153,10 @@ def main() -> None:
         ratios.append(spent["this"] / spent["other"])
         print(f"pass {k + 1}: this {spent['this']:.3f} s, other {spent['other']:.3f} s, "
               f"ratio {ratios[-1]:.4f}", flush=True)
+        if any(c["exact"] or c["approx"] for c in counts.values()):
+            print("  kd query points, this / other: exact {} / {}, approx {} / {}".format(
+                counts["this"]["exact"], counts["other"]["exact"],
+                counts["this"]["approx"], counts["other"]["approx"]), flush=True)
     print(f"median ratio {statistics.median(ratios):.4f} over {len(tasks)} tasks, "
           f"{passes} passes")
 
