@@ -36,6 +36,7 @@ from .interval import DomainViolation, Interval
 from .model import Domain
 from .oracle import (
     DEFAULT_BUDGET,
+    SampleInaccurate,
     SoundnessViolation,
     hausdorff_enclosure,
     hausdorff_piecewise,
@@ -134,18 +135,19 @@ def _emit(out: str | None, meta: dict, header: Sequence[str], rows: Sequence[Seq
         path.write_text(text, encoding="utf-8")
 
 
-def _base_meta(cfg: RunConfig) -> dict:
+def _base_meta(args: RunConfig | argparse.Namespace) -> dict:
     return {
         "version": __version__,
-        "seed": cfg.seed,
-        "branches": cfg.branches,
-        "grid_budget": cfg.grid,
+        "seed": args.seed,
+        "branches": args.branches,
+        "grid_budget": args.grid,
     }
 
 
-def cmd_bound(cfg: RunConfig) -> int:
-    domain = parse_domain_spec(cfg.domain, cfg.branches)
-    e = parse(cfg.expr, domain.dim)
+def cmd_bound(args: argparse.Namespace) -> int:
+    _require_inputs(args)
+    domain = parse_domain_spec(args.domain, args.branches)
+    e = parse(args.expr, domain.dim)
     models = eval_ism(e, domain)
     boxes = eval_interval(e, domain.boxes)
     for i, (m, box) in enumerate(zip(models, boxes)):
@@ -185,7 +187,10 @@ def run_compare(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
+    _require_inputs(args)
+    # compare takes no --depth, so its config has none
+    cfg = RunConfig(**{name: getattr(args, name, None) for name in RunConfig.__dataclass_fields__})
     row = run_compare(cfg)
     header = list(row.keys())
     _emit(cfg.out, _base_meta(cfg) | {"expr": cfg.expr, "domain": cfg.domain}, header, [list(row.values())])
@@ -223,13 +228,13 @@ def run_sweep(
                     m = eval_ism(e, Domain.of(box, cap))[0]
                     rb = m.range_bounds()
                     row.append(hausdorff_enclosure(img, [Interval(rb.lo, rb.hi)], budget=grid_budget))
-                except (DomainViolation, OverflowError) as err:
+                except (DomainViolation, OverflowError, SampleInaccurate) as err:
                     print(f"warning: N={cap} failed at x2max={x2_top}: {err}", file=sys.stderr)
                     row.append(None)
             try:
                 ia = eval_interval(e, box)[0]
                 row.append(hausdorff_enclosure(img, [ia], budget=grid_budget))
-            except (DomainViolation, OverflowError) as err:
+            except (DomainViolation, OverflowError, SampleInaccurate) as err:
                 print(f"warning: interval baseline failed at x2max={x2_top}: {err}", file=sys.stderr)
                 row.append(None)
             rows.append(row)
@@ -248,9 +253,9 @@ def run_sweep(
     return written
 
 
-def cmd_sweep(cfg: RunConfig, points: int) -> int:
-    out_dir = cfg.out if cfg.out is not None else "."
-    for path in run_sweep(out_dir, points=points, grid_budget=cfg.grid, seed=cfg.seed):
+def cmd_sweep(args: argparse.Namespace) -> int:
+    out_dir = args.out if args.out is not None else "."
+    for path in run_sweep(out_dir, points=args.points, grid_budget=args.grid, seed=args.seed):
         print(path)
     return 0
 
@@ -318,27 +323,22 @@ def run_recursion(
             row.append(hausdorff_enclosure(img, ia_boxes, budget=scan_budget))
             for hull in img.per_axis_hull:
                 row.extend([hull.lo, hull.hi])
-        except (DomainViolation, OverflowError) as err:
+        except (DomainViolation, OverflowError, SampleInaccurate) as err:
             print(f"warning: depth {k} failed: {err}", file=sys.stderr)
             row.extend([None] * 8)
         rows.append(row)
     return rows
 
 
-def cmd_recursion(cfg: RunConfig) -> int:
-    rows = run_recursion(
-        depth=cfg.depth, branches=cfg.branches, grid_budget=cfg.grid, seed=cfg.seed,
-        domain_spec=cfg.domain,
-    )
-    header = ["k", "dH_isa", "dH_ia"] + [
-        f"oracle_{side}_{i}" for i in (1, 2, 3) for side in ("lo", "hi")
-    ]
-    _emit(cfg.out, _base_meta(cfg) | {"domain": cfg.domain, "depth": cfg.depth}, header, rows)
+def cmd_recursion(args: argparse.Namespace) -> int:
+    rows = run_recursion(depth=args.depth, branches=args.branches, grid_budget=args.grid,
+                         seed=args.seed, domain_spec=args.domain)
+    header = ["k", "dH_isa", "dH_ia"] + [f"oracle_{side}_{i}" for i in (1, 2, 3) for side in ("lo", "hi")]
+    _emit(args.out, _base_meta(args) | {"domain": args.domain, "depth": args.depth}, header, rows)
     return 0
 
 
-#: Every command flag by destination, with its default; a command that does
-#: not take a flag runs with that default in its RunConfig.
+#: Every command flag by destination, with its default.
 _FLAGS = {
     "expr": (("--expr",), {"help": "expression text"}),
     "domain": (("--domain",), {"help": "domain spec x1=[a,b];..."}),
@@ -364,46 +364,28 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(*names, **kwargs)
         sp.set_defaults(**defaults)
 
-    flags(sub.add_parser("bound", help="print enclosure bounds"), "expr", "domain", "branches")
+    flags(sub.add_parser("bound", help="print enclosure bounds"), "expr", "domain", "branches", run=cmd_bound)
     flags(
         sub.add_parser("compare", help="one CSV row comparing enclosures"),
-        "expr", "domain", "branches", "grid", "seed", "out",
+        "expr", "domain", "branches", "grid", "seed", "out", run=cmd_compare,
     )
     exp = sub.add_parser("experiment", help="benchmark experiments")
     which = exp.add_subparsers(dest="which", required=True)
     sweep = which.add_parser("sweep", help="domain-growth sweep of the showcase function")
-    flags(sweep, "grid", "seed", "out")
+    flags(sweep, "grid", "seed", "out", run=cmd_sweep)
     sweep.add_argument("--points", type=int, default=40, help="sweep resolution")
     flags(
         which.add_parser("recursion", help="iterated-map contraction experiment"),
         "domain", "branches", "grid", "seed", "out", "depth",
-        domain=RECURSION_DOMAIN, branches=20,
+        domain=RECURSION_DOMAIN, branches=20, run=cmd_recursion,
     )
     return p
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    opts = {dest: kwargs.get("default") for dest, (_, kwargs) in _FLAGS.items()} | vars(args)
-    cfg = RunConfig(
-        expr=opts["expr"] or "",
-        domain=opts["domain"] or "",
-        branches=opts["branches"],
-        grid=opts["grid"],
-        seed=opts["seed"],
-        out=opts["out"],
-        depth=opts["depth"],
-    )
     try:
-        if args.command == "bound":
-            _require_inputs(cfg)
-            return cmd_bound(cfg)
-        if args.command == "compare":
-            _require_inputs(cfg)
-            return cmd_compare(cfg)
-        if args.which == "sweep":
-            return cmd_sweep(cfg, args.points)
-        return cmd_recursion(cfg)
+        return args.run(args)
     except (SoundnessViolation, RemainderCapExceeded) as err:
         print(f"soundness violation: {err}", file=sys.stderr)
         return _EXIT_UNSOUND
@@ -412,8 +394,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _EXIT_USAGE
 
 
-def _require_inputs(cfg: RunConfig) -> None:
-    for flag, value in (("--expr", cfg.expr), ("--domain", cfg.domain)):
+def _require_inputs(args: argparse.Namespace) -> None:
+    for flag, value in (("--expr", args.expr), ("--domain", args.domain)):
         if not value:
             raise ValueError(f"{flag} is required for this command")
 

@@ -14,13 +14,14 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .expr import Expr, eval_points
+from .expr import Expr, eval_interval, eval_points
 from .interval import Interval
 from .model import SuperpositionModel
 
 __all__ = [
     "BudgetExceeded",
     "SoundnessViolation",
+    "SampleInaccurate",
     "ImageSample",
     "sample_image",
     "hausdorff_enclosure",
@@ -45,13 +46,20 @@ class SoundnessViolation(RuntimeError):
     """An enclosure failed to contain sampled exact values (always a bug)."""
 
 
+class SampleInaccurate(ValueError):
+    """A float sample escapes an enclosure that the interval value at its
+    lattice point does not miss: the sample is too inaccurate to judge it."""
+
+
 @dataclass
 class ImageSample:
     """Sampled image set: an (m, outputs) array of values and its
-    componentwise hull."""
+    componentwise hull, and, from `sample_image`, the expression and the
+    (n, grid) per-axis lattice coordinates it was sampled on."""
 
     points: np.ndarray
     per_axis_hull: tuple[Interval, ...]
+    source: tuple[Expr, np.ndarray] | None = field(default=None, repr=False, compare=False)
     _tree: cKDTree | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -135,36 +143,38 @@ def sample_image(
     if grid**n > budget:
         raise BudgetExceeded(f"{grid}^{n} lattice points exceed the budget {budget}")
     lo, hi = np.array([(b.lo, b.hi) for b in box], dtype=float).T
-    axes = np.meshgrid(*_linspace(lo, hi, grid), indexing="ij", sparse=True)
-    values = eval_points(e, tuple(axes))
+    coords = _linspace(lo, hi, grid)
+    values = eval_points(e, tuple(np.meshgrid(*coords, indexing="ij", sparse=True)))
     hull = tuple(Interval(float(v.min()), float(v.max())) for v in values.T)
-    return ImageSample(values, hull)
+    return ImageSample(values, hull, source=(e, coords))
 
 
 def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     """Largest max-norm distance from the sampled image to a lattice point of
     any of the blocks, each given by its per-axis coordinates: an array of
-    shape (blocks, m, k) for k**m points per block.
+    shape (blocks, m, k) for k**m points per block.  This is the one branch
+    and bound scan of the oracle's distances, in two levels.
 
-    Branch and bound: the distance to the nearest sample is 1-Lipschitz in the
-    max norm, so no point of a block lies farther than the block's midpoint
-    distance plus its max-norm reach from the midpoint.  Blocks are scanned by
-    falling bound, in batches that start at one block and double, and the scan
-    stops once no bound left exceeds the maximum found.  The bound takes the
-    midpoint distance from an approximate query (Arya et al., JACM 1998): a
-    real sample up to 1 + _MID_EPS times farther than the nearest, at the
-    tree's own rounding of its distance, so the slack below covers it as it
-    covers an exact one.  A batch the scan reaches queries its distinct
-    midpoints exactly for the block bound and bounds each point by its
-    distance to the sample nearest its block's midpoint.  The distinct points
-    whose bound exceeds the maximum get a second level: one approximate query,
-    whose returned sample bounds each point again, the smaller of the two
-    bounds kept, each padded by the same slack.  They are then queried exactly
-    by falling bound, the first _FIRST_POINTS alone, the rest in one query once
-    those have raised the maximum and dropped every point whose bound no longer
-    exceeds it.  Every bound is a distance to a real sample, and the nearest
-    one is never farther, so a skipped point cannot raise the maximum: the
-    result is the exhaustive scan's to the last bit.
+    Blocks: the distance to the nearest sample is 1-Lipschitz in the max norm,
+    so no point of a block lies farther than the block's midpoint distance
+    plus its max-norm reach from the midpoint.  That bound takes the midpoint
+    distance from an approximate query (Arya et al., JACM 1998), which returns
+    a real sample up to 1 + _MID_EPS times farther than the nearest.  Blocks
+    are scanned by falling bound, in batches that start at one block and
+    double, until no bound left exceeds the maximum found.  A batch queries
+    its distinct midpoints exactly, which tightens each block's bound.
+
+    Points: each point of a block the scan reaches is bounded by its distance
+    to the sample nearest its block's midpoint and, if that exceeds the
+    maximum, by its distance to the sample one approximate query returns; the
+    smaller bound is kept.  Points are then queried exactly by falling bound,
+    the first _FIRST_POINTS alone, the rest in one query of those whose bound
+    still exceeds the raised maximum.
+
+    Every bound is a distance to a real sample, by the tree's own formula and
+    padded by the slack below, and the nearest sample is never farther, so a
+    skipped block or point cannot raise the maximum: the result is the
+    exhaustive scan's to the last bit.
     """
     # finite coordinates keep every midpoint and reach below the largest float
     if not np.isfinite(coords).all():
@@ -230,13 +240,33 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
 
 def _check_hull(img: ImageSample, enclosure: Iterable[Interval]) -> None:
     """Raise SoundnessViolation where the sampled hull escapes the enclosure;
-    the enclosure is consumed one axis at a time."""
+    the enclosure is consumed one axis at a time.
+
+    A float sample can round out of a sound enclosure, so where the image
+    knows its source, each escaping side's extreme lattice point is evaluated
+    in interval arithmetic on the point box: only a value that misses the
+    enclosure too is a violation, and otherwise SampleInaccurate names it."""
     for j, (hull, enc) in enumerate(zip(img.per_axis_hull, enclosure)):
-        if not enc.encloses(hull):
-            raise SoundnessViolation(
-                f"axis {j}: sampled hull [{hull.lo}, {hull.hi}] escapes "
-                f"enclosure [{enc.lo}, {enc.hi}]"
-            )
+        if enc.encloses(hull):
+            continue
+        violation = SoundnessViolation(
+            f"axis {j}: sampled hull [{hull.lo}, {hull.hi}] escapes enclosure [{enc.lo}, {enc.hi}]"
+        )
+        if img.source is None:
+            raise violation
+        e, coords = img.source
+        n, k = coords.shape
+        for extreme, escapes in ((np.argmin, hull.lo < enc.lo), (np.argmax, enc.hi < hull.hi)):
+            if escapes:
+                flat = extreme(img.points[:, j])
+                x = coords[np.arange(n), np.unravel_index(flat, (k,) * n)].tolist()
+                value = eval_interval(e, [Interval.point(c) for c in x])[j]
+                if value.hi < enc.lo or enc.hi < value.lo:
+                    raise violation
+        raise SampleInaccurate(
+            f"axis {j}: the float sample {float(img.points[flat, j])!r} at x={x} escapes enclosure "
+            f"[{enc.lo}, {enc.hi}], but its interval value [{value.lo}, {value.hi}] meets it"
+        )
 
 
 def hausdorff_enclosure(
@@ -245,17 +275,11 @@ def hausdorff_enclosure(
     """One-sided overestimation distance: the farthest point of the enclosure
     box from the sampled image, in the max norm.
 
-    The enclosure must contain the sample hull componentwise; a violation is a
-    soundness bug in the enclosure, not a large distance.  For one output the
-    distance is exact; for several the enclosure box is scanned on a lattice
-    with the same budget discipline as the sampler.  The lattice is cut into
-    equal index blocks and scanned by branch and bound (`_farthest`): a
-    block whose midpoint distance plus half-width cannot beat the maximum
-    found is never queried, and in a block that is, a point is queried exactly
-    only where neither the sample nearest the block's midpoint nor the one an
-    approximate query returns rules it out.  That skips most of the lattice on
-    a contracting image and returns the maximum over every lattice point, bit
-    for bit: any real sample bounds a point's distance to the nearest one.
+    The enclosure must contain the sample hull componentwise (`_check_hull`);
+    a violation is a soundness bug in the enclosure, not a large distance.
+    For one output the distance is exact; for several the enclosure box is
+    scanned on a lattice with the same budget discipline as the sampler, cut
+    into equal index blocks for the branch and bound of `_farthest`.
     """
     m = img.n_outputs
     if len(enclosure) != m:
@@ -296,12 +320,8 @@ def hausdorff_piecewise(
     Cell boxes get a slice of the point budget each, so the scan is corner
     dominated; that under-resolves the sup slightly but never reports a cell
     the models do not claim.  Each cell's lattice is one block of the branch
-    and bound scan (`_farthest`): a cell whose midpoint distance plus
-    half-width cannot beat the maximum found is never queried, so most cells
-    cost one approximate midpoint query; in a cell that is, a point is queried
-    exactly only where neither the sample nearest the cell's midpoint nor the
-    one an approximate query returns rules it out.  The result is the maximum
-    over each cell's lattice, bit for bit.
+    and bound of `_farthest`, so most cells cost one approximate midpoint
+    query.
     """
     if not models:
         raise ValueError("need at least one component model")

@@ -349,3 +349,55 @@ def test_package_exports_every_module_name():
     for name in isarith.__all__:
         assert getattr(isarith, name) is not None
     assert isarith.ULP_MARGIN == interval.ULP_MARGIN
+
+
+def test_each_command_runs_with_its_own_defaults(monkeypatch, tmp_path):
+    calls = []
+    real_parse_domain_spec = cli.parse_domain_spec
+
+    def parse_domain_spec(spec, branches):
+        calls.append(("parse_domain_spec", spec, branches))
+        return real_parse_domain_spec(spec, branches)
+
+    monkeypatch.setattr(cli, "parse_domain_spec", parse_domain_spec)
+    monkeypatch.setattr(cli, "run_compare", lambda cfg: calls.append(("compare", cfg)) or {"x": 1})
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **kw: calls.append(("sweep", a, kw)) or [])
+    monkeypatch.setattr(cli, "run_recursion", lambda **kw: calls.append(("recursion", kw)) or [])
+    monkeypatch.chdir(tmp_path)
+
+    assert main(["bound", "--expr", "x1", "--domain", "x1=[0,1]"]) == 0
+    assert calls.pop() == ("parse_domain_spec", "x1=[0,1]", 16)
+    assert main(["compare", "--expr", "x1", "--domain", "x1=[0,1]"]) == 0
+    (name, cfg), = calls
+    assert name == "compare" and (cfg.expr, cfg.domain) == ("x1", "x1=[0,1]")
+    assert (cfg.branches, cfg.grid, cfg.seed, cfg.out) == (16, 10**6, 0, None)
+    calls.clear()
+    assert main(["experiment", "sweep"]) == 0
+    assert calls.pop() == ("sweep", (".",), {"points": 40, "grid_budget": 10**6, "seed": 0})
+    assert main(["experiment", "recursion"]) == 0
+    assert calls.pop() == ("recursion", {"depth": 10, "branches": 20, "grid_budget": 10**6,
+                                         "seed": 0, "domain_spec": RECURSION_DOMAIN})
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_a_sample_rounded_out_of_the_enclosure_exits_2(capsys):
+    # x1 + 1e16 rounds to a multiple of 2: the samples are 0 and 2, while the
+    # function is x1 and its enclosure [1, 1.5] is right
+    argv = ["compare", "--expr", "(x1+1e16)-1e16", "--domain", "x1=[1,1.5]", "-N", "4", "--grid", "1000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "soundness violation" not in err
+    assert "x=[1.0005005005005005]" in err and "interval value [0.0, 2.0]" in err
+
+
+def test_experiments_record_an_inaccurate_sample_as_a_failed_cell(monkeypatch, tmp_path, capsys):
+    def inaccurate(*args, **kwargs):
+        raise oracle.SampleInaccurate("synthetic")
+
+    monkeypatch.setattr(cli, "hausdorff_enclosure", inaccurate)
+    monkeypatch.setattr(cli, "hausdorff_piecewise", inaccurate)
+    for path in run_sweep(str(tmp_path), points=1, grid_budget=100):
+        assert read_csv(path)[1][0] == {"x2max": "0.1", "dH_isa_N1": "", "dH_isa_N10": "",
+                                        "dH_isa_N100": "", "dH_ia": ""}
+    assert run_recursion(depth=1, branches=2, grid_budget=1000) == [[1] + [None] * 8]
+    assert capsys.readouterr().err.count("synthetic") == 3 * 4 + 1

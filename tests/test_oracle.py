@@ -26,6 +26,7 @@ from isarith.model import Domain, init_variable
 from isarith.oracle import (
     BudgetExceeded,
     ImageSample,
+    SampleInaccurate,
     SoundnessViolation,
     hausdorff_enclosure,
     hausdorff_piecewise,
@@ -230,6 +231,30 @@ def _scan_cases(draw):
     ])
     hull = tuple(Interval(float(c.min()), float(c.max())) for c in points.T)
     return ImageSample(points, hull), lo, hi, k
+
+
+class TestSampleRounding:
+    def test_a_value_the_point_interval_misses_is_still_a_violation(self):
+        # the interval value at x1 = 1 is [1, 1], outside [0, 0.5]
+        img = sample_image(parse("x1", 1), [Interval(0, 1)], grid=11)
+        with pytest.raises(SoundnessViolation, match="escapes enclosure"):
+            hausdorff_enclosure(img, [Interval(0, 0.5)])
+
+    def test_a_sample_rounded_out_of_a_sound_enclosure(self):
+        # x1 + 1e16 rounds to a multiple of 2, so the samples are 0 and 2
+        img = sample_image(parse("(x1+1e16)-1e16", 1), [Interval(1, 1.5)], grid=11)
+        assert img.per_axis_hull == (Interval(0, 2),)
+        with pytest.raises(SampleInaccurate, match=r"float sample 2\.0 at x=\[1\.05\].*\[0\.0, 2\.0\]"):
+            hausdorff_enclosure(img, [Interval(1, 1.5)])
+
+    def test_the_extreme_of_a_later_output_on_a_lattice(self):
+        # output 1 escapes only at its largest sample, the corner (2, 3)
+        img = sample_image(parse_vector(["x1", "x1*x2"], 2), [Interval(0, 2), Interval(1, 3)], grid=5)
+        with pytest.raises(SoundnessViolation, match="axis 1"):
+            hausdorff_enclosure(img, [Interval(0, 2), Interval(0, 5.5)])
+        img = sample_image(parse_vector(["x1", "(x2+1e16)-1e16"], 2), [Interval(0, 2), Interval(1, 1.5)], grid=5)
+        with pytest.raises(SampleInaccurate, match=r"x=\[0\.0, 1\.125\]"):
+            hausdorff_enclosure(img, [Interval(0, 2), Interval(1, 1.5)])
 
 
 class TestBlockScan:

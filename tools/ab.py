@@ -10,20 +10,21 @@ alternately, flipping which side goes first every time.
   (bench/corpus.py of this checkout) and bounds its tasks task by task with
   the calls `isarith bound` makes.  Every task must give both sides the same
   bits (each model's matrix, constant and range, and the plain interval
-  boxes) or the same exception class.  Each of the PASSES passes prints the
+  boxes) or the same exception class.  Each of the PASSES (5) passes prints the
   time ratio this / other.
 - `recursion` runs `run_recursion(depth=3, branches=20, grid_budget=10**5)`,
-  the bench workload's pass, RECURSION_PASSES times per side, pass by pass.
+  the bench workload's pass, RECURSION_PASSES (20) times per side, pass by pass.
   Both sides must give `repr`-equal rows.  Each pass prints its time ratio
   and, for each side, the points its kd-trees queried exactly (eps 0) and
   approximately, counted by a cKDTree subclass patched into each side's
   oracle.
-- `sweep` runs `run_sweep(points=40, grid_budget=10**6)`, SWEEP_PASSES times
+- `sweep` runs `run_sweep(points=40, grid_budget=10**6)`, SWEEP_PASSES (30) times
   per side, pass by pass, each into a fresh temporary directory.  Both sides
   must write byte-identical CSVs and the same standard error, whose warnings
   name each cell that failed.  Each pass prints its time ratio.
 
-A ratio below 1 means this checkout is faster.
+A ratio below 1 means this checkout is faster.  The last line gives the
+median ratio and, around it, the lower and upper quartiles of the passes.
 
 Alternating within one process cancels the drift of a shared host: on a
 2-vCPU guest, passes of the same code took from 1.7 to 3.9 s across runs,
@@ -47,7 +48,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = 5
 RECURSION_PASSES = 20
-SWEEP_PASSES = 10
+SWEEP_PASSES = 30
 
 
 def load(checkout: Path, name: str):
@@ -157,7 +158,8 @@ def main() -> None:
             print("  kd query points, this / other: exact {} / {}, approx {} / {}".format(
                 counts["this"]["exact"], counts["other"]["exact"],
                 counts["this"]["approx"], counts["other"]["approx"]), flush=True)
-    print(f"median ratio {statistics.median(ratios):.4f} over {len(tasks)} tasks, "
+    low, median, high = statistics.quantiles(ratios, n=4)
+    print(f"median ratio {median:.4f} (quartiles {low:.4f} to {high:.4f}) over {len(tasks)} tasks, "
           f"{passes} passes")
 
 
