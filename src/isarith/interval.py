@@ -69,18 +69,12 @@ def _up(x: float) -> float:
     return _require_finite(math.nextafter(x, _INF), "rounding up")
 
 
-def _steps(x: float, k: int, direction: float) -> float:
-    """x moved k floats toward direction, checked once: a step that leaves
-    the finite range stays infinite."""
-    for _ in range(k):
-        x = math.nextafter(x, direction)
-    return _require_finite(x, "rounding")
-
-
 def _widened(lo: float, hi: float) -> tuple[float, float]:
-    """lo moved ULP_MARGIN floats down and hi as many up: the widening of a
-    transcendental result's endpoints."""
-    return _steps(lo, ULP_MARGIN, -_INF), _steps(hi, ULP_MARGIN, _INF)
+    """lo moved ULP_MARGIN floats down and hi as many up, a transcendental
+    result's widening, each checked once: a step past the largest float stays infinite."""
+    for _ in range(ULP_MARGIN):
+        lo, hi = math.nextafter(lo, -_INF), math.nextafter(hi, _INF)
+    return _require_finite(lo, "rounding"), _require_finite(hi, "rounding")
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -252,21 +246,20 @@ class Interval:
             return NotImplemented
         return Interval(_add_down(self.lo, other.lo), _add_up(self.hi, other.hi))
 
-    def __radd__(self, other: float | int) -> Interval:
-        return self + other
+    __radd__ = __add__
 
     def __neg__(self) -> Interval:
         return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other: Interval | float | int) -> Interval:
-        if isinstance(other, (int, float)):
-            other = Interval.point(other)
-        elif not isinstance(other, Interval):
+        if isinstance(other, int):
+            other = float(other)  # the int 0 negates to 0, the point [0, 0] to -0.0
+        elif not isinstance(other, (float, Interval)):
             return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other: float | int) -> Interval:
-        return Interval.point(other) + (-self)
+        return -self + other  # 2Sum is exact in either operand order
 
     def __mul__(self, other: Interval | float | int) -> Interval:
         if isinstance(other, (int, float)):
@@ -281,8 +274,7 @@ class Interval:
         )
         return Interval(min(d for d, _ in products), max(u for _, u in products))
 
-    def __rmul__(self, other: float | int) -> Interval:
-        return self * other
+    __rmul__ = __mul__
 
     def inv(self) -> Interval:
         """Reciprocal 1/x.  The interval must not contain zero."""
@@ -428,20 +420,6 @@ def _products(a: np.ndarray, b: np.ndarray | float) -> tuple[np.ndarray, np.ndar
     return down, up
 
 
-def _outward_quotients(a: float, b: np.ndarray) -> np.ndarray:
-    """a over the stacked b, the lower half rounded down and the upper half
-    up, checked: the sign of the exact residual a - q*b, as in _quotient_side,
-    with the scalar rule only where TwoProduct is untrusted."""
-    q = _finite(a / b, "quotient")
-    p, err, untrusted = _two_prods(q, b)
-    side = np.sign((a - p) - err) * np.sign(b)
-    np.nextafter(q, _DIRS, out=q, where=side * _SIGNS > 0.0)
-    for half, rule in ((0, _div_down), (1, _div_up)):
-        if untrusted[half].any():
-            q[half][untrusted[half]] = [rule(a, y) for y in b[half][untrusted[half]].tolist()]
-    return _finite(q, "rounding")
-
-
 def _interval_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Interval.__mul__ entrywise over stacked arrays: four directed products
     per entry, their minimum and maximum taken in the scalar rule's order."""
@@ -463,9 +441,10 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _steps_arrays(x: np.ndarray, k: int, direction) -> np.ndarray:
-    for _ in range(k):
-        x = np.nextafter(x, direction)
+def _widened_arrays(x: np.ndarray) -> np.ndarray:
+    """_widened entrywise over a stacked array."""
+    for _ in range(ULP_MARGIN):
+        x = np.nextafter(x, _DIRS)
     return _finite(x, "rounding")
 
 
@@ -495,14 +474,23 @@ def _sqr_arrays(b):
 
 
 def _inv_arrays(b):
+    """1 over the swapped halves, each rounded outward by the sign of the exact residual
+    1 - q*y as in _quotient_side, by the scalar rule where TwoProduct is untrusted."""
     spans = (b[0] <= 0.0) & (b[1] >= 0.0)
     if spans.any():
         raise ZeroInDomain("reciprocal of [{}, {}] spans zero".format(*_first(spans, b)))
-    return _outward_quotients(1.0, b[::-1])
+    y = b[::-1]
+    q = _finite(1.0 / y, "quotient")
+    p, err, untrusted = _two_prods(q, y)
+    side = np.sign((1.0 - p) - err) * np.sign(y)
+    np.nextafter(q, _DIRS, out=q, where=side * _SIGNS > 0.0)
+    for half, rule in ((0, _div_down), (1, _div_up)):
+        q[half][untrusted[half]] = [rule(1.0, v) for v in y[half][untrusted[half]].tolist()]
+    return _finite(q, "rounding")
 
 
 def _exp_arrays(b):
-    out = _steps_arrays(_libm(math.exp, b), ULP_MARGIN, _DIRS)
+    out = _widened_arrays(_libm(math.exp, b))
     out[0] = np.where(out[0] > 0.0, out[0], 0.0)
     return out
 
@@ -511,7 +499,7 @@ def _log_arrays(b):
     bad = b[0] <= 0.0
     if bad.any():
         raise DomainViolation("log of [{}, {}] needs a positive lower endpoint".format(*_first(bad, b)))
-    return _steps_arrays(_libm(math.log, b), ULP_MARGIN, _DIRS)
+    return _widened_arrays(_libm(math.log, b))
 
 
 def _periodic_arrays(b, f, trough: float, peak: float):
@@ -520,7 +508,7 @@ def _periodic_arrays(b, f, trough: float, peak: float):
     minimum (lower half) or maximum (upper half) at trough or peak + 2k*pi."""
     v = _libm(f, b)
     lower, upper = np.where(v[1] < v[0], v[1], v[0]), np.where(v[1] > v[0], v[1], v[0])
-    ends = _steps_arrays(np.array((lower, upper)), ULP_MARGIN, _DIRS)
+    ends = _widened_arrays(np.array((lower, upper)))
     extreme = _reaches(b, math.tau) | _has_grid_points(*b, _stacked(trough, peak), math.tau)
     return np.where(extreme | (ends * _SIGNS >= 1.0), _SIGNS, ends)
 
@@ -529,7 +517,7 @@ def _tan_arrays(b):
     poles = _reaches(b, math.pi) | _has_grid_points(*b, math.pi / 2, math.pi)
     if poles.any():
         raise DomainViolation("tan over [{}, {}] spans a pole".format(*_first(poles, b)))
-    return _steps_arrays(_libm(math.tan, b), ULP_MARGIN, _DIRS)
+    return _widened_arrays(_libm(math.tan, b))
 
 
 #: Array form of each unary Interval method, by method name: stacked in,

@@ -12,7 +12,6 @@ function does not depend on is exactly [0, 0] in every branch.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -207,8 +206,6 @@ def init_variable(domain: Domain, axis: int) -> SuperpositionModel:
 
 def init_constant(domain: Domain, c: float) -> SuperpositionModel:
     """Model of the constant function: [c, c] in the constant, zero rows."""
-    if not math.isfinite(c):
-        raise ValueError(f"constant must be finite, got {c}")
     return SuperpositionModel(domain, np.zeros((2, domain.dim, domain.branches)), Interval.point(c))
 
 
@@ -237,12 +234,16 @@ def _affine(
     return _model(m.domain, bounds, m.const * scale + shift)
 
 
+def _clamp(v: float, lo: float, hi: float) -> float:
+    return min(max(v, lo), hi)
+
+
 def _midpoints_and_radii(rb: RangeBounds) -> tuple[list[float], list[float]]:
     """Midpoint of every row hull and the upward-rounded distance from it to
     the farther hull endpoint; a degenerate row is centered on its single
     value with radius exactly zero."""
     rows = list(zip(rb.row_lo, rb.row_hi))
-    centers = [lo if lo == hi else min(max(lo + 0.5 * (hi - lo), lo), hi) for lo, hi in rows]
+    centers = [lo if lo == hi else _clamp(lo + 0.5 * (hi - lo), lo, hi) for lo, hi in rows]
     radii = [0.0 if lo == hi else max(_sub_up(hi, a), _sub_up(a, lo))
              for (lo, hi), a in zip(rows, centers)]
     return centers, radii

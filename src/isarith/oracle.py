@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .expr import Expr, eval_interval, eval_points
-from .interval import Interval
+from .interval import Interval, _quiet
 from .model import SuperpositionModel
 
 __all__ = [
@@ -83,6 +83,7 @@ def _grid_per_axis(budget: int, n: int) -> int:
     return int(budget ** (1.0 / n) + 1e-9)
 
 
+@_quiet  # _farthest rejects a non-finite result
 def _linspace(lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
     """`np.linspace(lo[i], hi[i], k)` for every entry of the arrays, stacked on
     a new last axis, with k >= 2.
@@ -92,10 +93,9 @@ def _linspace(lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
     by row; here each row picks its own formula, as the scalar call does.
     """
     i = np.arange(k, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # _farthest rejects the result
-        delta = (hi - lo)[..., None]
-        step = delta / (k - 1)
-        points = np.where(step == 0, i / (k - 1) * delta, i * step) + lo[..., None]
+    delta = (hi - lo)[..., None]
+    step = delta / (k - 1)
+    points = np.where(step == 0, i / (k - 1) * delta, i * step) + lo[..., None]
     points[..., -1] = hi
     return points
 

@@ -28,6 +28,7 @@ from .model import (
     SuperpositionModel,
     _ZERO,
     _affine,
+    _clamp,
     _midpoints_and_radii,
     _model,
     _windows,
@@ -91,10 +92,6 @@ def _check_atom_domain(g: Atom, rb: RangeBounds) -> None:
             raise DomainViolation(f"log needs a positive model range, got [{rb.lo}, {rb.hi}]")
     elif g is Atom.TAN:
         Interval(rb.lo, rb.hi).tan()  # raises on pole contact
-
-
-def _clamp(v: float, lo: float, hi: float) -> float:
-    return min(max(v, lo), hi)
 
 
 def central_points(g: Atom, m: SuperpositionModel) -> CompositionWorkspace:

@@ -20,14 +20,13 @@ from isarith.interval import (
     _ARRAY_RULES,
     _SPLIT_LIMIT,
     PI_HALF,
-    ULP_MARGIN,
     DomainViolation,
     Interval,
     _add_down,
     _add_up,
     _interval_products,
     _quiet,
-    _steps_arrays,
+    _widened_arrays,
     _sums,
 )
 from isarith.model import Domain, RangeBounds, SuperpositionModel, _affine, _midpoints_and_radii, init_variable
@@ -446,6 +445,6 @@ def test_exp_lower_endpoint_clamps_at_zero():
 def test_margin_past_the_largest_float_raises():
     near = np.array([[1.0, math.nextafter(1.7976931348623157e308, 0.0)]])
     with pytest.raises(OverflowError):
-        _quiet(_steps_arrays)(near, ULP_MARGIN, math.inf)
+        _quiet(_widened_arrays)(near)
     with pytest.raises(OverflowError):
-        _quiet(_steps_arrays)(-near, ULP_MARGIN, -math.inf)
+        _quiet(_widened_arrays)(-near)

@@ -1,8 +1,10 @@
 """Command-line and package surface: argument handling, CSV shape,
 determinism, exported names."""
 
+import argparse
 import csv
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -401,3 +403,60 @@ def test_experiments_record_an_inaccurate_sample_as_a_failed_cell(monkeypatch, t
                                         "dH_isa_N100": "", "dH_ia": ""}
     assert run_recursion(depth=1, branches=2, grid_budget=1000) == [[1] + [None] * 8]
     assert capsys.readouterr().err.count("synthetic") == 3 * 4 + 1
+
+
+def _readme_flag_table():
+    """README's "Flags per command" table: per command, each flag's names
+    and the note in parentheses after them ("" where there is none)."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("| command | flags |", 1)[1].split("\n\n", 1)[0]
+    commands = {}
+    for line in table.splitlines()[2:]:
+        _, command, flags, _ = line.split("|")
+        commands[command.strip().strip("`")] = {
+            tuple(names.split("/")): note for names, note in re.findall(r"`([^`]+)`(?: \(([^)]*)\))?", flags)
+        }
+    return commands
+
+
+def _commands(parser, prefix=""):
+    """Each command's parser by its words, such as "experiment sweep"."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix.strip(): parser}
+    return {k: v for name, sp in subs[0].choices.items() for k, v in _commands(sp, f"{prefix}{name} ").items()}
+
+
+def test_readme_flag_table_matches_the_parser(monkeypatch, tmp_path):
+    # each command's flag values as the callee it hands them to receives them
+    seen = {}
+    monkeypatch.setattr(cli, "parse_domain_spec", lambda spec, branches: seen.update(
+        domain=spec, branches=branches) or parse_domain_spec("x1=[0,1]", 1))
+    monkeypatch.setattr(cli, "run_compare", lambda cfg: seen.update(vars(cfg)) or {"x": 1})
+    monkeypatch.setattr(cli, "run_sweep", lambda out_dir, points, grid_budget, seed: seen.update(
+        out=out_dir, points=points) or [])
+    monkeypatch.setattr(cli, "run_recursion", lambda depth, branches, grid_budget, seed, domain_spec:
+                        seen.update(depth=depth, branches=branches, domain=domain_spec) or [])
+    monkeypatch.chdir(tmp_path)
+    required_values = {("--expr",): "x1", ("--domain",): "x1=[0,1]"}
+
+    table = _readme_flag_table()
+    parsers = _commands(cli._build_parser())
+    assert sorted(table) == sorted(parsers) == ["bound", "compare", "experiment recursion", "experiment sweep"]
+    stated = 0
+    for command, flags in table.items():
+        dests = {tuple(a.option_strings): a.dest for a in parsers[command]._actions if a.dest != "help"}
+        assert set(flags) == set(dests), command
+        seen.clear()
+        argv = command.split()
+        for names, note in flags.items():
+            if note == "required":
+                argv += [names[0], required_values[names]]
+        assert main(argv) == 0
+        for names, note in flags.items():
+            default = re.search(r"default:? `?([^`]*)`?$", note)
+            if default:
+                want = RECURSION_DOMAIN if default[1] == "the bundled map's box" else default[1]
+                assert str(seen[dests[names]]) == want, (command, names)
+                stated += 1
+    assert stated == 7

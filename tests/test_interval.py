@@ -14,7 +14,6 @@ from conftest import hull, make_model, mid, scale, shift
 from isarith.interval import (
     PI,
     PI_HALF,
-    ULP_MARGIN,
     DomainViolation,
     Interval,
     IntervalError,
@@ -25,14 +24,14 @@ from isarith.interval import (
     _add_up,
     _div_down,
     _div_up,
+    _inv_arrays,
     _mul_down,
     _mul_up,
     _SIGNS,
-    _outward_quotients,
     _quiet,
     _round_sums,
-    _steps,
     _sub_up,
+    _widened,
 )
 from isarith.model import Domain
 
@@ -431,7 +430,7 @@ def test_quotients_match_fraction_rounding():
     with np.errstate(over="ignore"):
         divisors = b[np.abs(1.0 / b) < 1e307]
     assert len(divisors) >= 100_000
-    down, up = _quiet(_outward_quotients)(1.0, np.array((divisors, divisors))[:, None])[:, 0]
+    down, up = _quiet(_inv_arrays)(np.array((divisors, divisors))[:, None])[:, 0]
     want = np.array([fraction_rounding(1.0, y) for y in divisors.tolist()])
     assert np.array_equal(down.view(np.uint64), want[:, 0].view(np.uint64))
     assert np.array_equal(up.view(np.uint64), want[:, 1].view(np.uint64))
@@ -468,7 +467,7 @@ def test_rounding_past_the_largest_float_raises():
     with pytest.raises(OverflowError):
         _mul_up(root, math.nextafter(root, math.inf))
     with pytest.raises(OverflowError):
-        _steps(math.nextafter(MAX, 0.0), ULP_MARGIN, math.inf)  # a transcendental margin
+        _widened(0.0, math.nextafter(MAX, 0.0))  # a transcendental margin
     model = make_model(Domain.of([(0.0, 1.0)] * 2, 1), [[(0.0, MAX)], [(0.0, 1.0)]])
     with pytest.raises(OverflowError):
         model.range_bounds()
