@@ -24,12 +24,12 @@ from dataclasses import dataclass
 from .interval import Interval, _add_down, _add_floats, _add_up, _interval_products, _mul_down
 from .interval import _mul_up, _quiet, _sub_up, _sums
 from .model import (
-    DomainMismatch,
     RangeBounds,
     SuperpositionModel,
     _affine,
     _midpoints_and_radii,
     _model,
+    _same_domain,
     _windows,
     _with_remainder,
     init_constant,
@@ -70,11 +70,6 @@ class ProductWorkspace:
     radii_a: tuple[float, ...]
     radii_b: tuple[float, ...]
     remainder: float
-
-
-def _same_domain(ma: SuperpositionModel, mb: SuperpositionModel) -> None:
-    if ma.domain != mb.domain:
-        raise DomainMismatch("models live on different domains; re-grid before combining")
 
 
 def _cap_width(rb: RangeBounds) -> float:

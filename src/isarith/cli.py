@@ -23,7 +23,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -106,15 +105,8 @@ def parse_domain_spec(spec: str, branches: int) -> Domain:
     return Domain.of([bounds[i] for i in range(1, n + 1)], branches)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    expr: str
-    domain: str
-    branches: int
-    grid: int
-    seed: int
-    out: str | None
-    depth: int
+#: compare's parsed flags: `run_compare` reads expr, domain, branches, grid and seed
+RunConfig = argparse.Namespace
 
 
 def _emit(out: str | None, meta: dict, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -132,7 +124,7 @@ def _emit(out: str | None, meta: dict, header: Sequence[str], rows: Sequence[Seq
         path.write_text(text, encoding="utf-8")
 
 
-def _base_meta(args: RunConfig | argparse.Namespace) -> dict:
+def _base_meta(args: argparse.Namespace) -> dict:
     return {
         "version": __version__,
         "seed": args.seed,
@@ -186,11 +178,9 @@ def run_compare(cfg: RunConfig) -> dict:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     _require_inputs(args)
-    # compare takes no --depth, so its config has none
-    cfg = RunConfig(**{name: getattr(args, name, None) for name in RunConfig.__dataclass_fields__})
-    row = run_compare(cfg)
+    row = run_compare(args)
     header = list(row.keys())
-    _emit(cfg.out, _base_meta(cfg) | {"expr": cfg.expr, "domain": cfg.domain}, header, [list(row.values())])
+    _emit(args.out, _base_meta(args) | {"expr": args.expr, "domain": args.domain}, header, [list(row.values())])
     return 0
 
 

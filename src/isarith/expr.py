@@ -299,7 +299,7 @@ def _walk(
             else:
                 v = op(kind, node[1], vals[node[2]])
         except DomainViolation as err:
-            raise DomainViolation(f"node {nid} ({kind}): {err}") from err
+            raise type(err)(f"node {nid} ({kind}): {err}") from err
         if finite is not None and not finite(v):
             raise OverflowError("intermediate value overflowed")
         vals[nid] = v

@@ -51,6 +51,11 @@ class DomainMismatch(ValueError):
     """Binary model operation over two different domains."""
 
 
+def _same_domain(ma: SuperpositionModel, mb: SuperpositionModel) -> None:
+    if ma.domain != mb.domain:
+        raise DomainMismatch("models live on different domains; re-grid before combining")
+
+
 @dataclass(frozen=True, slots=True)
 class Domain:
     """Box [lo_1, hi_1] x ... x [lo_n, hi_n] with N branches per axis.

@@ -9,14 +9,14 @@ remainder are test code and live in `tests/reference.py`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .expr import Expr, eval_interval, eval_points
 from .interval import Interval, _quiet
-from .model import SuperpositionModel
+from .model import SuperpositionModel, _same_domain
 
 __all__ = [
     "BudgetExceeded",
@@ -238,14 +238,16 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     return worst
 
 
-def _check_hull(img: ImageSample, enclosure: Iterable[Interval]) -> None:
-    """Raise SoundnessViolation where the sampled hull escapes the enclosure;
-    the enclosure is consumed one axis at a time.
+def _check_hull(img: ImageSample, enclosure: Sequence[Interval]) -> None:
+    """Raise ValueError unless the enclosure has one interval per image
+    output, and SoundnessViolation where the sampled hull escapes it.
 
     A float sample can round out of a sound enclosure, so where the image
     knows its source, each escaping side's extreme lattice point is evaluated
     in interval arithmetic on the point box: only a value that misses the
     enclosure too is a violation, and otherwise SampleInaccurate names it."""
+    if len(enclosure) != img.n_outputs:
+        raise ValueError(f"enclosure has {len(enclosure)} axes, image has {img.n_outputs}")
     for j, (hull, enc) in enumerate(zip(img.per_axis_hull, enclosure)):
         if enc.encloses(hull):
             continue
@@ -281,10 +283,8 @@ def hausdorff_enclosure(
     scanned on a lattice with the same budget discipline as the sampler, cut
     into equal index blocks for the branch and bound of `_farthest`.
     """
-    m = img.n_outputs
-    if len(enclosure) != m:
-        raise ValueError(f"enclosure has {len(enclosure)} axes, image has {m}")
     _check_hull(img, enclosure)
+    m = img.n_outputs
     if m == 1:
         hull, enc = img.per_axis_hull[0], enclosure[0]
         return max(hull.lo - enc.lo, enc.hi - hull.hi)
@@ -325,6 +325,8 @@ def hausdorff_piecewise(
     """
     if not models:
         raise ValueError("need at least one component model")
+    for mdl in models:
+        _same_domain(models[0], mdl)
     domain = models[0].domain
     n, cap = domain.dim, domain.branches
     m = len(models)
@@ -332,7 +334,7 @@ def hausdorff_piecewise(
     if cells > budget:
         raise BudgetExceeded(f"{cells} branch cells exceed the budget {budget}")
     # checked one at a time: a hull inside both lies inside their intersection
-    _check_hull(img, (Interval(rb.lo, rb.hi) for rb in (mdl.range_bounds() for mdl in models)))
+    _check_hull(img, [Interval(rb.lo, rb.hi) for rb in (mdl.range_bounds() for mdl in models)])
     if clip is not None:
         _check_hull(img, clip)
     # every cell box at once, in the order of operations of a per-cell loop:

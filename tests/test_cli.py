@@ -271,6 +271,11 @@ class TestSweep:
                 assert row["dH_isa_N1"] != ""  # no failures on this function
                 assert float(row["dH_isa_N100"]) <= float(row["dH_isa_N1"]) + 1e-12
 
+    def test_command_prints_each_csv_path(self, tmp_path, capsys):
+        assert main(["experiment", "sweep", "--points", "1", "--grid", "100", "--out", str(tmp_path)]) == 0
+        names = ["sweep_x1max_0.1.csv", "sweep_x1max_1.csv", "sweep_x1max_10.csv"]
+        assert capsys.readouterr().out.splitlines() == [str(tmp_path / name) for name in names]
+
     def test_sweep_bytes_reproducible(self, tmp_path):
         a = run_sweep(str(tmp_path / "a"), points=3, grid_budget=4_000, seed=7)
         b = run_sweep(str(tmp_path / "b"), points=3, grid_budget=4_000, seed=7)
@@ -298,6 +303,15 @@ class TestRecursionCmd:
         rows = run_recursion(depth=2, branches=5, grid_budget=20_000, seed=0)
         assert [r[0] for r in rows] == [1, 2]
         assert rows[1][1] <= rows[1][2]  # piecewise enclosure inside baseline
+
+    def test_range_disjoint_from_the_trivial_bound_exits_3(self, monkeypatch, capsys):
+        far = lambda e, boxes: tuple(isarith.Interval(1e6, 1e6 + 1) for _ in e.outputs)
+        monkeypatch.setattr(cli, "eval_interval", far)
+        assert main(["experiment", "recursion", "--depth", "1", "-N", "2", "--grid", "1000"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"soundness violation: stage 1: range \[\S+, \S+\] disjoint from "
+                            r"trivial bound \[1000000\.0, 1000001\.0\]\n", err), err
 
 
 # each command with cheap valid arguments, then one flag it does not read

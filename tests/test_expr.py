@@ -28,9 +28,9 @@ from isarith.expr import (
     self_compose,
     to_text,
 )
-from isarith.interval import DomainViolation, Interval
+from isarith.interval import DomainViolation, Interval, ZeroInDomain
 from isarith.model import Domain
-from isarith.univariate import Atom, central_points, remainder_bound
+from isarith.univariate import Atom, RemainderUnbounded, central_points, remainder_bound
 
 F1_TEXTS = (
     "0.1*(exp(-sin(4*x1)+x2-x2^2-x1^2)-1)",
@@ -354,6 +354,20 @@ class TestEvalIsm:
         with pytest.raises(DomainViolation) as err:
             eval_ism(parse("log(x1)", 1), d)
         assert "node" in str(err.value)
+
+    @pytest.mark.parametrize("text,box,evaluate,error", [
+        ("1/x1", [(-1.0, 1.0)], eval_ism, ZeroInDomain),
+        ("1/x1", [(-1.0, 1.0)], lambda e, d: eval_interval(e, d.boxes), ZeroInDomain),
+        ("log(x1+x2)", [(1e-9, 1.0)] * 2, eval_ism, RemainderUnbounded),
+    ], ids=["ism-reciprocal", "interval-reciprocal", "ism-log-remainder"])
+    def test_domain_error_keeps_its_class_and_names_its_node(self, text, box, evaluate, error):
+        e = parse(text, len(box))
+        with pytest.raises(DomainViolation) as err:
+            evaluate(e, Domain.of(box, 4))
+        assert type(err.value) is error
+        assert type(err.value.__cause__) is error
+        assert str(err.value).startswith("node ")
+        assert str(err.value).endswith(str(err.value.__cause__))
 
     def test_memoization_transparency(self):
         # the shared DAG against a hand-built one that repeats x1+x2 as

@@ -123,6 +123,11 @@ class TestSub:
     def test_same_interval_does_not_cancel(self):
         assert Interval(1, 2) - Interval(1, 2) == Interval(-1, 1)
 
+    def test_int_zero_keeps_a_negative_zero_end(self):
+        # subtracting the point [0, 0] would add -0.0 + 0.0 = +0.0
+        lo = (Interval(-0.0, 1.0) - 0).lo
+        assert lo == 0.0 and math.copysign(1.0, lo) == -1.0
+
 
 class TestInv:
     def test_positive(self):
@@ -207,6 +212,11 @@ class TestTranscendental:
 class TestPlumbing:
     def test_diam(self):
         assert Interval(1, 4).diam == 3.0
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_operand_neither_number_nor_interval(self, op):
+        with pytest.raises(TypeError):
+            op(Interval(0, 1), "a")
 
     def test_mid_inside(self):
         iv = Interval(1.0, math.nextafter(1.0, 2.0))

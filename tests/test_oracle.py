@@ -22,7 +22,7 @@ from conftest import (
 from isarith import cli, oracle
 from isarith.expr import eval_interval, eval_ism, eval_points, parse, parse_vector, self_compose
 from isarith.interval import DomainViolation, Interval
-from isarith.model import Domain, init_variable
+from isarith.model import Domain, DomainMismatch, init_variable
 from isarith.oracle import (
     BudgetExceeded,
     ImageSample,
@@ -555,6 +555,42 @@ class TestPiecewiseHausdorff:
         clip = [Interval(2, 3), Interval(0, 1)]
         with pytest.raises(SoundnessViolation):
             hausdorff_piecewise(img, models, clip=clip, budget=1000)
+
+
+class TestScanInputShape:
+    """Each enclosure a scan reads, the models and the clip too, needs one
+    interval per image output."""
+
+    def image_and_models(self):
+        d = Domain.of([(0.0, 1.0)] * 2, branches=4)
+        e = parse_vector(["x1", "x2+10"], 2)
+        return sample_image(e, d.boxes, budget=100), eval_ism(e, d)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_piecewise_models(self, count):
+        img, models = self.image_and_models()
+        with pytest.raises(ValueError, match=f"enclosure has {count} axes, image has 2"):
+            hausdorff_piecewise(img, (models * 2)[:count], budget=1000)
+
+    def test_piecewise_clip(self):
+        img, models = self.image_and_models()
+        with pytest.raises(ValueError, match="enclosure has 1 axes, image has 2"):
+            hausdorff_piecewise(img, models, clip=[Interval(0.0, 1.0)], budget=1000)
+
+
+class TestPiecewiseDomains:
+    """Every model of a piecewise enclosure lives on the first one's domain."""
+
+    @pytest.mark.parametrize("second", [
+        Domain.of([(0.0, 2.0), (0.0, 1.0)], 4),
+        Domain.of([(0.0, 1.0)] * 2, 5),
+    ], ids=["wider-box", "more-branches"])
+    def test_a_model_on_another_domain(self, second):
+        first = Domain.of([(0.0, 1.0)] * 2, 4)
+        img = sample_image(parse_vector(["x1", "x2"], 2), first.boxes, budget=100)
+        models = [init_variable(first, 0), init_variable(second, 1)]
+        with pytest.raises(DomainMismatch, match="models live on different domains"):
+            hausdorff_piecewise(img, models, budget=1000)
 
 
 class TestBruteForceRange:
