@@ -233,6 +233,31 @@ def _scan_cases(draw):
     return ImageSample(points, hull), lo, hi, k
 
 
+@st.composite
+def _one_and_four_output_cases(draw):
+    """Like `_scan_cases`, but with one or four outputs: every fold over the
+    outputs then runs on a single slice or on a chain of four."""
+    m = draw(st.sampled_from([1, 4]))
+    k = draw(st.integers(2, 4))
+    offset = draw(st.sampled_from([0.0, -3.5, 1e12]))
+    scale = draw(st.sampled_from([1.0, 1e-9]))
+    unit = st.floats(-1.0, 1.0)
+    blocks = draw(st.integers(1, 4))
+    lo = offset + scale * np.array(draw(st.lists(unit, min_size=blocks * m, max_size=blocks * m)))
+    widths = draw(st.lists(st.just(0.0) | st.floats(0.0, 2.0), min_size=blocks * m, max_size=blocks * m))
+    lo = lo.reshape(blocks, m)
+    hi = lo + scale * np.array(widths).reshape(blocks, m)
+    on_blocks = np.concatenate([lattice(list(zip(a, b)), k) for a, b in zip(lo, hi)])
+    points = np.array([
+        on_blocks[draw(st.integers(0, len(on_blocks) - 1))]
+        if draw(st.booleans())
+        else offset + 1.5 * scale * np.array(draw(st.lists(unit, min_size=m, max_size=m)))
+        for _ in range(draw(st.integers(1, 12)))
+    ])
+    hull = tuple(Interval(float(c.min()), float(c.max())) for c in points.T)
+    return ImageSample(points, hull), lo, hi, k
+
+
 class TestSampleRounding:
     def test_a_value_the_point_interval_misses_is_still_a_violation(self):
         # the interval value at x1 = 1 is [1, 1], outside [0, 0.5]
@@ -270,6 +295,25 @@ class TestBlockScan:
         per_axis = 3 * k
         got = hausdorff_enclosure(img, [Interval(*b) for b in box], budget=per_axis ** len(box))
         assert got == _exhaustive(img, [box], per_axis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_one_and_four_output_cases())
+    def test_one_and_four_outputs_equal_the_exhaustive_scan(self, case):
+        img, lo, hi, k = case
+        boxes = [list(zip(a, b)) for a, b in zip(lo, hi)]
+        assert oracle._farthest(img, oracle._linspace(lo, hi, k)) == _exhaustive(img, boxes, k)
+
+    def test_one_output_cells_equal_the_exhaustive_scan(self):
+        # the enclosure scan takes the closed form for one output, so the
+        # piecewise scan is the only route to a block scan of one axis
+        domain = Domain.of([(-1.0, 1.0), (0.5, 2.0)], branches=6)
+        e = parse("x1*x2 + sin(3*x1)", 2)
+        models = eval_ism(e, domain)
+        clip = eval_interval(e, domain.boxes)
+        img = sample_image(e, domain.boxes, grid=41)
+        got = hausdorff_piecewise(img, models, clip=clip, budget=6**2 * 9)
+        assert got > 0.0
+        assert got == _exhaustive(img, _per_cell_boxes(models, clip), 9)
 
     def test_bound_carries_the_rounding_slack(self):
         # block b's far corner is one ulp beyond its rounded midpoint bound;
@@ -333,20 +377,11 @@ class TestBlockScan:
         img, models, clip, ia_boxes, d_ia, d_isa, enclosure_points, piecewise_points = (
             self.depth_one(monkeypatch)
         )
-        branches = models[0].branches
 
         assert d_ia == _exhaustive(img, [[(b.lo, b.hi) for b in ia_boxes]], 46)
         assert enclosure_points < 46**3 / 3
 
-        cells = []  # every cell box the way a per-cell loop sums it
-        matrices = [coeffs(mdl) for mdl in models]
-        for combo in np.ndindex((branches,) * 3):
-            box = []
-            for mdl, rows, c in zip(models, matrices, clip):
-                lo = sum((rows[i][j].lo for i, j in enumerate(combo)), mdl.const.lo)
-                hi = sum((rows[i][j].hi for i, j in enumerate(combo)), mdl.const.hi)
-                box.append((max(lo, c.lo), min(hi, c.hi)))
-            cells.append(box)
+        cells = _per_cell_boxes(models, clip)
         assert d_isa == _exhaustive(img, cells, 2)
         assert piecewise_points < len(cells) * 8 / 2
 
@@ -374,6 +409,21 @@ class TestBlockScan:
         assert 0 < requeried < 20**3 / 4
         lattice_points = sum(len(q) for q in exact if not known.issuperset(map(tuple, q)))
         assert 0 < lattice_points < 300
+
+
+def _per_cell_boxes(models, clip):
+    """Every cell box of the models the way a per-cell loop sums it: the
+    constant, then rows 0..n-1 left to right, then the clip."""
+    matrices = [coeffs(mdl) for mdl in models]
+    cells = []
+    for combo in np.ndindex((models[0].branches,) * models[0].domain.dim):
+        box = []
+        for mdl, rows, c in zip(models, matrices, clip):
+            lo = sum((rows[i][j].lo for i, j in enumerate(combo)), mdl.const.lo)
+            hi = sum((rows[i][j].hi for i, j in enumerate(combo)), mdl.const.hi)
+            box.append((max(lo, c.lo), min(hi, c.hi)))
+        cells.append(box)
+    return cells
 
 
 def _counting_tree(queried, exact=None):

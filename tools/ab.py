@@ -15,9 +15,10 @@ alternately, flipping which side goes first every time.
 - `recursion` runs `run_recursion(depth=3, branches=20, grid_budget=10**5)`,
   the bench workload's pass, RECURSION_PASSES (20) times per side, pass by pass.
   Both sides must give `repr`-equal rows.  Each pass prints its time ratio
-  and, for each side, the points its kd-trees queried exactly (eps 0) and
-  approximately, counted by a cKDTree subclass patched into each side's
-  oracle.
+  and, for each side, the milliseconds its kd-trees spent in builds, exact
+  (eps 0) queries and approximate ones, the rest of the pass, and the points
+  queried exactly and approximately, all taken by a cKDTree subclass patched
+  into each side's oracle.  The last lines give each side's median split.
 - `sweep` runs `run_sweep(points=40, grid_budget=10**6)`, SWEEP_PASSES (30) times
   per side, pass by pass, each into a fresh temporary directory.  Both sides
   must write byte-identical CSVs and the same standard error, whose warnings
@@ -68,18 +69,38 @@ def load(checkout: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def count_queries(oracle) -> dict[str, int]:
+TREE_KEYS = ("build_s", "exact_s", "approx_s", "exact", "approx")
+
+
+def count_queries(oracle) -> dict[str, float]:
     """Patch the oracle module's cKDTree with a subclass that adds up the
-    points of its exact and approximate queries; returns the running counts."""
-    counts = {"exact": 0, "approx": 0}
+    seconds spent in tree builds, in exact queries and in approximate ones,
+    and the points of each kind of query; returns the running totals."""
+    totals = dict.fromkeys(TREE_KEYS, 0)
 
     class CountingTree(oracle.cKDTree):
+        def __init__(self, *args, **kwargs):
+            start = time.perf_counter()
+            super().__init__(*args, **kwargs)
+            totals["build_s"] += time.perf_counter() - start
+
         def query(self, x, *args, **kwargs):
-            counts["approx" if kwargs.get("eps", 0) else "exact"] += len(x)
-            return super().query(x, *args, **kwargs)
+            kind = "approx" if kwargs.get("eps", 0) else "exact"
+            start = time.perf_counter()
+            result = super().query(x, *args, **kwargs)
+            totals[f"{kind}_s"] += time.perf_counter() - start
+            totals[kind] += len(x)
+            return result
 
     oracle.cKDTree = CountingTree
-    return counts
+    return totals
+
+
+def tree_split(totals: dict[str, float], spent: float) -> dict[str, float]:
+    """Milliseconds of a pass in tree builds, exact and approximate queries
+    and the rest of the pass."""
+    ms = {key: 1e3 * totals[f"{key}_s"] for key in ("build", "exact", "approx")}
+    return {**ms, "rest": 1e3 * spent - sum(ms.values())}
 
 
 def bound(cli, task) -> tuple[float, bytes | str]:
@@ -143,11 +164,11 @@ def main() -> None:
     for _ in range(2):  # warm both sides up
         for task in tasks[:20]:
             run(this, task), run(other, task)
-    ratios = []
+    ratios, splits = [], {"this": [], "other": []}
     for k in range(passes):
         spent = {"this": 0.0, "other": 0.0}
         for c in counts.values():
-            c.update(exact=0, approx=0)
+            c.update(dict.fromkeys(TREE_KEYS, 0))
         for i, task in enumerate(tasks):
             order = (("this", this), ("other", other)) if (i + k) % 2 == 0 else (("other", other), ("this", this))
             out = {}
@@ -160,9 +181,19 @@ def main() -> None:
         print(f"pass {k + 1}: this {spent['this']:.3f} s, other {spent['other']:.3f} s, "
               f"ratio {ratios[-1]:.4f}", flush=True)
         if any(c["exact"] or c["approx"] for c in counts.values()):
+            for side in splits:
+                splits[side].append(tree_split(counts[side], spent[side]))
+            print("  kd-tree ms, this / other: " + ", ".join(
+                f"{key} {splits['this'][-1][key]:.1f} / {splits['other'][-1][key]:.1f}"
+                for key in ("build", "exact", "approx", "rest")), flush=True)
             print("  kd query points, this / other: exact {} / {}, approx {} / {}".format(
                 counts["this"]["exact"], counts["other"]["exact"],
                 counts["this"]["approx"], counts["other"]["approx"]), flush=True)
+    for side, split in splits.items():
+        if split:
+            print(f"median ms of {side}: " + ", ".join(
+                f"{key} {statistics.median(s[key] for s in split):.1f}"
+                for key in ("build", "exact", "approx", "rest")))
     low, median, high = statistics.quantiles(ratios, n=4)
     print(f"median ratio {median:.4f} (quartiles {low:.4f} to {high:.4f}) over {len(tasks)} tasks, "
           f"{passes} passes")
