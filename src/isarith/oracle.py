@@ -29,8 +29,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
-#: most lattice points the enclosure scan queries in one batch
-_CHUNK = 1 << 16
 #: index blocks per axis that the enclosure scan cuts its lattice into
 _BLOCKS_PER_AXIS = 8
 #: eps of the approximate queries that bound the scan's blocks and points
@@ -157,6 +155,7 @@ def sample_image(
     return ImageSample(values, hull, source=(e, coords))
 
 
+@_quiet  # a bound that overflows is inf, which only means "query it exactly"
 def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     """Largest max-norm distance from the sampled image to a lattice point of
     any of the blocks, each given by its per-axis coordinates: an array of
@@ -170,7 +169,7 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     a real sample up to 1 + _MID_EPS times farther than the nearest.  Blocks
     are scanned by falling bound, in batches that start at one block and
     double, until no bound left exceeds the maximum found.  A batch queries
-    its distinct midpoints exactly, which tightens each block's bound.
+    its distinct midpoints exactly, for the samples that bound its points.
 
     Points: each point of a block the scan reaches is bounded by its distance
     to the sample nearest its block's midpoint and, if that exceeds the
@@ -191,7 +190,7 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     if not np.isfinite(coords).all():
         raise OverflowError("a scan lattice coordinate overflowed to a non-finite value")
     tree = img.kd_tree()
-    blocks, m, k = coords.shape
+    blocks = len(coords)
     lo, hi = _fold(np.minimum, coords), _fold(np.maximum, coords)
     mid = 0.5 * lo + 0.5 * hi
     reach = _fold(np.maximum, np.maximum(hi - mid, mid - lo))
@@ -200,23 +199,18 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     # within the same factor of the exact reach.  Chained through the
     # Lipschitz bound, every point of a block has a computed distance below
     # (1 + 2 eps) times the block's computed bound.  The slack takes 16 eps of
-    # the bound instead, plus 16 eps of the largest coordinate as a margin for
-    # the rounding inside the kd-tree's search.
+    # the bound instead, plus 16 eps of `top` for the kd-tree's own rounding.
     slack = 16 * np.finfo(float).eps
-    scale = _fold(np.maximum, np.maximum(np.abs(lo), np.abs(hi)))
+    top = max(float(hi.max()), -float(lo.min()))  # the scan's largest |coordinate|
     bound = tree.query(mid, k=1, p=np.inf, eps=_MID_EPS)[0] + reach
-    bound += slack * (scale + bound)
+    bound += slack * (top + bound)
     order = np.argsort(-bound, kind="stable")
-    most = max(1, _CHUNK // k**m)
     worst, start, size = 0.0, 0, 1
     while start < blocks and bound[order[start]] > worst:
         batch = order[start : start + size]
         batch = batch[bound[batch] > worst]
         mids, inverse = _distinct(mid[batch])
-        near, nearest = (a[inverse] for a in tree.query(mids, k=1, p=np.inf))
-        exact = near + reach[batch]
-        keep = exact + slack * (scale[batch] + exact) > worst
-        batch, nearest = batch[keep], nearest[keep]
+        nearest = tree.query(mids, k=1, p=np.inf)[1][inverse]
         points = _block_points(coords[batch])
         # Each point's distance to the sample nearest its block's midpoint, by
         # the tree's own formula and rounding: the tree returns the least such
@@ -225,7 +219,6 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
         # bound is at most the maximum cannot raise it, and a repeated point (a
         # zero-width axis, an edge block) cannot change a maximum either.
         ub = _fold(np.maximum, np.abs(points - img.points[nearest, None]))
-        top = scale[batch].max(initial=0.0)  # the batch's largest coordinate
         live = ub + slack * (top + ub) > worst
         if live.any():
             # any copy's bound serves each copy of a point
@@ -245,7 +238,7 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
                 if len(group):
                     worst = max(worst, float(tree.query(points[group], k=1, p=np.inf)[0].max()))
         start += size
-        size = min(2 * size, most)
+        size *= 2
     return worst
 
 

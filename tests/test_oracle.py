@@ -410,6 +410,19 @@ class TestBlockScan:
         lattice_points = sum(len(q) for q in exact if not known.issuperset(map(tuple, q)))
         assert 0 < lattice_points < 300
 
+    def test_batches_keep_doubling_past_twenty_blocks(self, monkeypatch):
+        # 64 blocks of 56 x 56 points around a wavy sheet: the scan reaches
+        # batches of 1, 2, 4, 8, 16 and 32 blocks, and stays exact
+        e = parse_vector(["x1", "x2 + 0.01*sin(7*x1)"], 2)
+        img = sample_image(e, [Interval(0.0, 1.0)] * 2, budget=10**4)
+        box = [(-0.01, 1.01), (-0.02, 1.02)]
+        batches, block_points = [], oracle._block_points
+        monkeypatch.setattr(oracle, "_block_points", lambda c: batches.append(len(c)) or block_points(c))
+        got = hausdorff_enclosure(img, [Interval(*b) for b in box], budget=2 * 10**5)
+        monkeypatch.undo()
+        assert got == _exhaustive(img, [box], 447) == 0.029825410141374187
+        assert max(batches) > 20
+
 
 def _per_cell_boxes(models, clip):
     """Every cell box of the models the way a per-cell loop sums it: the
