@@ -487,7 +487,6 @@ def eval_point(e: Expr, x: Sequence[float]) -> tuple[float, ...]:
         raise OverflowError("intermediate value overflowed") from err
 
 
-@_quiet  # every node's value is checked for finiteness
 def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     """Vectorized eval_point over an (m, arity) array; returns (m, outputs).
 
@@ -496,9 +495,13 @@ def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     the broadcast of the arrays it reads: on an open grid, once per point of
     the sub-lattice of the axes it depends on, a slab of about _SLAB points
     along the first axis at a time (an array of length 1 there is not sliced),
-    into one (m, outputs) array.  Raises eval_point's domain errors where any
-    point violates them: a failed slab walks the whole lattice once, for the
-    error of the earliest failing node over all points.
+    into one (m, outputs) array.  The slabs run under numpy's overflow,
+    invalid and divide traps, since from finite coordinates no op gives a
+    non-finite value without raising one of those flags.  Raises eval_point's
+    domain errors where any point violates them: a trap, a failed slab or a
+    non-finite coordinate walks the whole lattice once, checking every node,
+    for the error of the earliest failing node over all points, or for the
+    values if no node fails.
     """
     if isinstance(xs, tuple):
         if len(xs) != e.arity:
@@ -510,17 +513,20 @@ def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
         if xs.ndim != 2 or xs.shape[1] != e.arity:
             raise ArityError(f"expected an (m, {e.arity}) array, got {xs.shape}")
         coords, shape = tuple(xs.T), xs.shape[:1]
-    walk = partial(_walk, e, const=float, op=partial(_apply, "np"), finite=lambda v: np.isfinite(v).all())
+    walk = partial(_walk, e, const=float, op=partial(_apply, "np"))
     out = np.empty(shape + (len(e.outputs),))
     step = max(1, _SLAB // max(1, math.prod(shape[1:])))
     try:
-        for start in range(0, max(shape[0], 1), step):  # an empty lattice walks once, as one walk would
-            cut = [x[start:start + step] if x.ndim == len(shape) and len(x) > 1 else x for x in coords]
-            for j, v in enumerate(walk(cut.__getitem__)):
-                out[start:start + step, ..., j] = v
-    except (DomainViolation, OverflowError):
-        walk(coords.__getitem__)
-        raise
+        if not all(np.isfinite(x).all() for x in coords):  # a leaf runs no op to trap
+            raise OverflowError("non-finite coordinate")
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for start in range(0, max(shape[0], 1), step):  # an empty lattice walks once, as one walk would
+                cut = [x[start:start + step] if x.ndim == len(shape) and len(x) > 1 else x for x in coords]
+                for j, v in enumerate(walk(cut.__getitem__)):
+                    out[start:start + step, ..., j] = v
+    except (FloatingPointError, DomainViolation, OverflowError):
+        for j, v in enumerate(_quiet(walk)(coords.__getitem__, finite=lambda v: np.isfinite(v).all())):
+            out[..., j] = v
     return out.reshape(-1, len(e.outputs))
 
 

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .interval import _ARRAY_RULES, PI_HALF, DomainViolation, Interval, ZeroInDomain, _add_floats
 from .interval import _quiet, _sub_up
 from .model import (
@@ -225,7 +227,9 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
     other atom takes g(omega) as the new constant, evaluates g over the
     recentered branch windows of each row with width and subtracts g(omega)
     there, leaves degenerate rows at exactly [0, 0] (their offset is zero),
-    and adds the remainder bound to the row with the widest entries.
+    and adds the remainder bound to the row with the widest entries.  Where
+    the remainder has no finite bound, the result is the constant model of g
+    over the whole model range.
     """
     if g is Atom.NEG:
         return _model(m.domain, -m.bounds[::-1], -m.const)
@@ -233,7 +237,10 @@ def compose(g: Atom, m: SuperpositionModel) -> SuperpositionModel:
     rb = m.range_bounds()
     _check_atom_domain(g, rb)
     w = central_points(g, m)
-    r = remainder_bound(g, m, w)
+    try:
+        r = remainder_bound(g, m, w)
+    except RemainderUnbounded:
+        return _model(m.domain, np.zeros(m.bounds.shape), getattr(Interval, g.value)(Interval(rb.lo, rb.hi)))
 
     g_omega = getattr(Interval, g.value)(w.omega)  # every atom but NEG names its Interval method
     wide = [i for i, (lo, hi) in enumerate(zip(rb.row_lo, rb.row_hi)) if lo < hi]
