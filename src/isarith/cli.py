@@ -375,8 +375,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SoundnessViolation, RemainderCapExceeded) as err:
         print(f"soundness violation: {err}", file=sys.stderr)
         return _EXIT_UNSOUND
-    except (ParseError, DomainViolation, OverflowError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ParseError, DomainViolation, OverflowError, ValueError, MemoryError) as err:
+        print(f"error: {err}", file=sys.stderr)  # numpy's MemoryError names the array it could not allocate
         return _EXIT_USAGE
 
 

@@ -171,15 +171,15 @@ _OPS: dict[str, _Op] = {
     "pow": _Op(operator.pow, operator.pow,
                lambda x, k: _by_squaring(x, k, Interval.sqr, operator.mul),
                lambda m, k: pow_model(m, k), _text("{}^{}", _PREC_POW, _PREC_ATOM)),
-    "add": _Op(operator.add, operator.add, operator.add,
+    "add": _Op(operator.add, np.add, operator.add,
                _fold(lambda a, b: add_models(a, b), lambda c, m: scalar_affine(m, 1.0, c),
                      lambda m, c: scalar_affine(m, 1.0, c)),
                _text("{}+{}", _PREC_EXPR, _PREC_EXPR, _PREC_TERM)),
-    "sub": _Op(operator.sub, operator.sub, operator.sub,
+    "sub": _Op(operator.sub, np.subtract, operator.sub,
                _fold(lambda a, b: sub_models(a, b), lambda c, m: scalar_affine(m, -1.0, c),
                      lambda m, c: scalar_affine(m, 1.0, -c)),
                _text("{}-{}", _PREC_EXPR, _PREC_EXPR, _PREC_TERM)),
-    "mul": _Op(operator.mul, operator.mul, operator.mul,
+    "mul": _Op(operator.mul, np.multiply, operator.mul,
                _fold(lambda a, b: mul_models(a, b), lambda c, m: scalar_affine(m, c),
                      lambda m, c: scalar_affine(m, c)),
                _text("{}*{}", _PREC_TERM, _PREC_TERM, _PREC_NEG)),
@@ -196,12 +196,15 @@ _OPS: dict[str, _Op] = {
 _FUNCS = _OPS.keys() - {"neg", "pow", "add", "sub", "mul", "div"}
 
 
-def _apply(column: str, kind: str, param, *args):
+def _apply(column: str, kind: str, param, *args, out=None):
     """Apply one column of a node's row to its operand values; a power node
-    passes its exponent last."""
+    passes its exponent last.  A ufunc rule writes into an out of its shape."""
     if kind == "pow":
         return getattr(_OPS["pow"], column)(*args, param)
-    return getattr(_OPS[param], column)(*args)
+    rule = getattr(_OPS[param], column)
+    if out is not None and isinstance(rule, np.ufunc) and np.broadcast(*args).shape == out.shape:
+        return rule(*args, out=out)
+    return rule(*args)
 
 
 class _Builder:
@@ -273,20 +276,23 @@ def _last_uses(e: Expr) -> list[int]:
 
 
 def _walk(
-    e: Expr, var: Callable, const: Callable, op: Callable, finite: Callable | None = None
+    e: Expr, var: Callable, const: Callable, op: Callable, finite: Callable | None = None,
+    known: Sequence | None = None, into: dict | None = None,
 ) -> tuple:
     """Evaluate the DAG bottom-up and return the values of its outputs.
 
     Visits, in topological order, only the nodes some output needs: var(i)
     and const(v) give the leaf values, op(kind, param, *operand_values) all
-    others.  When finite is given, a value for which finite(value) fails
-    raises OverflowError.  A value is dropped once its last consumer has run,
-    and a domain error names its node.
+    others; given known, a value or None per node, a node with a value is
+    not computed, and given into, op gets out=into.get(node).  When finite
+    is given, a value for which finite(value) fails raises OverflowError.  A
+    value is dropped once its last consumer has run, and a domain error
+    names its node.
     """
     last = _last_uses(e)
-    vals: list = [None] * len(e.nodes)
+    vals: list = list(known or [None] * len(e.nodes))
     for nid, node in enumerate(e.nodes):
-        if last[nid] < 0:
+        if last[nid] < 0 or vals[nid] is not None:
             continue
         kind = node[0]
         try:
@@ -294,6 +300,8 @@ def _walk(
                 v = var(node[1])
             elif kind == "const":
                 v = const(node[1])
+            elif into is not None:
+                v = op(kind, node[1], *[vals[c] for c in node[2:]], out=into.get(nid))
             elif kind == "bin":
                 v = op(kind, node[1], vals[node[2]], vals[node[3]])
             else:
@@ -493,15 +501,19 @@ def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     xs may also be a tuple of one array per variable that broadcast together,
     for the points of the broadcast shape in C order.  A node is computed on
     the broadcast of the arrays it reads: on an open grid, once per point of
-    the sub-lattice of the axes it depends on, a slab of about _SLAB points
-    along the first axis at a time (an array of length 1 there is not sliced),
-    into one (m, outputs) array.  The slabs run under numpy's overflow,
-    invalid and divide traps, since from finite coordinates no op gives a
-    non-finite value without raising one of those flags.  Raises eval_point's
-    domain errors where any point violates them: a trap, a failed slab or a
-    non-finite coordinate walks the whole lattice once, checking every node,
-    for the error of the earliest failing node over all points, or for the
-    values if no node fails.
+    the sub-lattice of the axes it depends on.  The arrays are sliced into
+    slabs of about _SLAB points along the first axis (one of length 1 there
+    is not sliced); a node that reads no sliced array is computed once,
+    before the slabs, and every other node once per slab.  An output whose
+    rule is a ufunc, that no other output repeats and no node reads, writes
+    each slab straight into the (m, outputs) result; the others are copied.
+    The slabs run under numpy's overflow, invalid and divide traps, since
+    from finite coordinates no op gives a non-finite value without raising
+    one of those flags.  Raises eval_point's domain errors where any point
+    violates them: a trap, a failed slab or a non-finite coordinate walks
+    the whole lattice once, checking every node, for the error of the
+    earliest failing node over all points, or for the values if no node
+    fails.
     """
     if isinstance(xs, tuple):
         if len(xs) != e.arity:
@@ -516,14 +528,26 @@ def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     walk = partial(_walk, e, const=float, op=partial(_apply, "np"))
     out = np.empty(shape + (len(e.outputs),))
     step = max(1, _SLAB // max(1, math.prod(shape[1:])))
+    sliced = [x.ndim == len(shape) and len(x) > 1 for x in coords]
+    # outputs written in place; none that a node reads, as numpy rounds some
+    # ufuncs apart where out overlaps an operand
+    read = {c for node in e.nodes for c in node[2:]}
+    once = {o: j for j, o in enumerate(e.outputs) if e.outputs.count(o) == 1 and o not in read}
     try:
         if not all(np.isfinite(x).all() for x in coords):  # a leaf runs no op to trap
             raise OverflowError("non-finite coordinate")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
+            # each node that reads no sliced coordinate, once; None for the rest
+            fixed = _walk(replace(e, outputs=tuple(range(len(e.nodes)))),
+                          lambda i: None if sliced[i] else coords[i], float,
+                          lambda *a: None if any(v is None for v in a) else _apply("np", *a))
             for start in range(0, max(shape[0], 1), step):  # an empty lattice walks once, as one walk would
-                cut = [x[start:start + step] if x.ndim == len(shape) and len(x) > 1 else x for x in coords]
-                for j, v in enumerate(walk(cut.__getitem__)):
-                    out[start:start + step, ..., j] = v
+                cut = [x[start:start + step] if s else x for x, s in zip(coords, sliced)]
+                slab = out[start:start + step]
+                into = {o: slab[..., j] for o, j in once.items()}
+                for j, v in enumerate(walk(cut.__getitem__, known=fixed, into=into)):
+                    if v is not into.get(e.outputs[j]):  # not written in place
+                        slab[..., j] = v
     except (FloatingPointError, DomainViolation, OverflowError):
         for j, v in enumerate(_quiet(walk)(coords.__getitem__, finite=lambda v: np.isfinite(v).all())):
             out[..., j] = v

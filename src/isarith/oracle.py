@@ -8,12 +8,12 @@ remainder are test code and live in `tests/reference.py`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .expr import Expr, eval_interval, eval_points
 from .interval import Interval, _quiet
@@ -35,6 +35,15 @@ _BLOCKS_PER_AXIS = 8
 _MID_EPS = 2.0
 #: exact point queries of a batch that set its maximum before the rest
 _FIRST_POINTS = 8
+
+
+def __getattr__(name: str):
+    """`cKDTree`, imported on first use (PEP 562), as scipy is slow to import."""
+    if name != "cKDTree":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.spatial import cKDTree
+    globals()[name] = cKDTree
+    return cKDTree
 
 
 class BudgetExceeded(ValueError):
@@ -70,8 +79,9 @@ class ImageSample:
             # sliding-midpoint splits and node boxes not shrunk to the data:
             # on images that collapse onto a plane, as the recursion map's
             # do, the default tree answers queries from outside the image up
-            # to a hundred times slower; the nearest distances are the same
-            self._tree = cKDTree(self.points, balanced_tree=False, compact_nodes=False)
+            # to a hundred times slower; the nearest distances are the same.
+            # The module attribute: loaded on first use, or as patched
+            self._tree = sys.modules[__name__].cKDTree(self.points, balanced_tree=False, compact_nodes=False)
         return self._tree
 
 

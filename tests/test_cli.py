@@ -4,8 +4,11 @@ determinism, exported names."""
 import argparse
 import csv
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -474,3 +477,43 @@ def test_readme_flag_table_matches_the_parser(monkeypatch, tmp_path):
                 assert str(seen[dests[names]]) == want, (command, names)
                 stated += 1
     assert stated == 7
+
+
+def test_a_lattice_that_cannot_be_allocated_exits_2(monkeypatch, capsys):
+    # the allocation is refused, never tried: under overcommit a real one can
+    # get the process killed instead of raising
+    empty = np.empty
+
+    def refuse(shape, *args, **kwargs):
+        if math.prod(np.atleast_1d(shape)) > 10**9:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse)
+    argv = ["compare", "--expr", "exp(x1)*x2", "--domain", "x1=[0,1];x2=[0,2]", "-N", "4",
+            "--grid", "100000000000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate an array with shape (316227, 316227, 1)\n"
+
+
+def test_scipy_is_imported_only_to_build_a_kd_tree():
+    # a fresh process, since this one may hold scipy already
+    code = """if True:
+        import sys
+        import isarith
+        from isarith import cli, oracle
+        assert "scipy" not in sys.modules, "import isarith"
+        args = ["--expr", "exp(x1)*x2", "--domain", "x1=[0,1];x2=[0,2]", "-N", "4"]
+        assert cli.main(["bound", *args]) == 0
+        assert "scipy" not in sys.modules, "bound"
+        assert cli.main(["compare", *args, "--grid", "10000"]) == 0
+        assert "scipy" not in sys.modules, "compare"
+        # a scan of two outputs builds a tree
+        img = oracle.sample_image(isarith.parse_vector(["x1", "x2"], 2), [isarith.Interval(0, 1)] * 2, grid=5)
+        oracle.hausdorff_enclosure(img, [isarith.Interval(0, 2)] * 2, budget=100)
+        assert "scipy.spatial" in sys.modules
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(isarith.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
