@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10**6
+#: most lattice points of one enclosure scan batch (at least one block)
+_BATCH_POINTS = 1 << 17
 #: index blocks per axis that the enclosure scan cuts its lattice into
 _BLOCKS_PER_AXIS = 8
 #: eps of the approximate queries that bound the scan's blocks and points
@@ -178,8 +180,9 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     distance from an approximate query (Arya et al., JACM 1998), which returns
     a real sample up to 1 + _MID_EPS times farther than the nearest.  Blocks
     are scanned by falling bound, in batches that start at one block and
-    double, until no bound left exceeds the maximum found.  A batch queries
-    its distinct midpoints exactly, for the samples that bound its points.
+    double up to _BATCH_POINTS lattice points, until no bound left exceeds
+    the maximum found.  A batch queries its distinct midpoints exactly, for
+    the samples that bound its points.
 
     Points: each point of a block the scan reaches is bounded by its distance
     to the sample nearest its block's midpoint and, if that exceeds the
@@ -200,7 +203,7 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     if not np.isfinite(coords).all():
         raise OverflowError("a scan lattice coordinate overflowed to a non-finite value")
     tree = img.kd_tree()
-    blocks = len(coords)
+    blocks, m, k = coords.shape
     lo, hi = _fold(np.minimum, coords), _fold(np.maximum, coords)
     mid = 0.5 * lo + 0.5 * hi
     reach = _fold(np.maximum, np.maximum(hi - mid, mid - lo))
@@ -215,6 +218,7 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
     bound = tree.query(mid, k=1, p=np.inf, eps=_MID_EPS)[0] + reach
     bound += slack * (top + bound)
     order = np.argsort(-bound, kind="stable")
+    most = max(1, _BATCH_POINTS // k**m)
     worst, start, size = 0.0, 0, 1
     while start < blocks and bound[order[start]] > worst:
         batch = order[start : start + size]
@@ -248,7 +252,7 @@ def _farthest(img: ImageSample, coords: np.ndarray) -> float:
                 if len(group):
                     worst = max(worst, float(tree.query(points[group], k=1, p=np.inf)[0].max()))
         start += size
-        size *= 2
+        size = min(2 * size, most)
     return worst
 
 

@@ -5,11 +5,14 @@ import contextlib
 import io
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 from hypothesis import given, settings, strategies as st
 
 from isarith import cli, expr
 from isarith.expr import eval_point, parse
+from test_acceptance import _exact_value
 
 FUNCS = sorted(expr._FUNCS)
 EDGES = [-1.7976931348623157e308, -1e300, -710.0, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1.0, 709.0,
@@ -92,4 +95,11 @@ def test_bound_ends_in_a_result_or_a_typed_error(case):
     for x in inner_points(box, seed):
         (v,) = eval_point(e, x)
         for lo, hi in enclosures:
-            assert lo <= v <= hi, (x, v, lo, hi)
+            # a float value can round out of a sound enclosure, so one that
+            # escapes is judged by the exact value, as the oracle fuzz does
+            assert lo <= v <= hi or _exactly_within(e, x, lo, hi), (x, v, lo, hi)
+
+
+def _exactly_within(e, x, lo, hi):
+    with mpmath.workdps(50):
+        return Fraction(lo) <= _exact_value(e, x) <= Fraction(hi)

@@ -423,6 +423,22 @@ class TestBlockScan:
         assert got == _exhaustive(img, [box], 447) == 0.029825410141374187
         assert max(batches) > 20
 
+    def test_batches_stop_doubling_at_the_point_cap(self, monkeypatch):
+        # the same sheet at a 10^6 scan budget: 64 blocks of 125 x 125 points,
+        # which uncapped batches would reach 32 at a time (500,000 points)
+        e = parse_vector(["x1", "x2 + 0.01*sin(7*x1)"], 2)
+        img = sample_image(e, [Interval(0.0, 1.0)] * 2, budget=10**4)
+        box = [Interval(-0.01, 1.01), Interval(-0.02, 1.02)]
+        points, block_points = [], oracle._block_points
+
+        def counted(c):  # (blocks, m, k) coordinates give blocks * k**m points
+            points.append(len(c) * c.shape[2] ** c.shape[1])
+            return block_points(c)
+
+        monkeypatch.setattr(oracle, "_block_points", counted)
+        hausdorff_enclosure(img, box, budget=10**6)
+        assert oracle._BATCH_POINTS // 2 < max(points) <= oracle._BATCH_POINTS
+
 
 def _per_cell_boxes(models, clip):
     """Every cell box of the models the way a per-cell loop sums it: the

@@ -2,84 +2,54 @@
 
     python3 tools/ab.py [--workload enclose|recursion|sweep] OTHER_CHECKOUT
 
-Loads src/isarith of this checkout and of OTHER_CHECKOUT in one process, as
-two packages with distinct names, and runs the workload on both sides
-alternately, flipping which side goes first every time.
+Each side, this checkout and OTHER_CHECKOUT, runs in a worker process of its
+own that imports isarith from the side's src/ (or stops the tool if isarith
+came from anywhere else).  The workload runs on both sides alternately,
+flipping which side goes first every time; an output that differs stops it.
 
-- `enclose` (the default) builds the bench corpus of seed 7 once
-  (bench/corpus.py of this checkout) and bounds its tasks task by task with
-  the calls `isarith bound` makes.  Every task must give both sides the same
-  bits (each model's matrix, constant and range, and the plain interval
-  boxes) or the same exception class.  Each of the PASSES (5) passes prints the
-  time ratio this / other.
-- `recursion` runs `run_recursion(depth=3, branches=20, grid_budget=10**5)`,
-  the bench workload's pass, RECURSION_PASSES (20) times per side, pass by pass.
-  Both sides must give `repr`-equal rows.  Each pass prints its time ratio
-  and, for each side, the milliseconds its kd-trees spent in builds, exact
-  (eps 0) queries and approximate ones, the rest of the pass, and the points
-  queried exactly and approximately, all taken by a cKDTree subclass patched
-  into each side's oracle.  The last lines give each side's median split.
-- `sweep` runs `run_sweep(points=40, grid_budget=10**6)`, SWEEP_PASSES (30) times
-  per side, pass by pass, each into a fresh temporary directory.  Both sides
-  must write byte-identical CSVs and the same standard error, whose warnings
-  name each cell that failed.  Each pass prints its time ratio.
+- `enclose` (the default, 5 passes): the bench corpus of seed 7
+  (bench/corpus.py of this checkout), task by task, with the calls `isarith
+  bound` makes.  Both sides must give the same bits (each model's matrix,
+  constant and range, and the plain interval boxes) or the same exception.
+- `recursion` (20 passes): `run_recursion(depth=3, branches=20,
+  grid_budget=10**5)`, the bench workload's pass, with `repr`-equal rows.
+  Each pass also gives each side's milliseconds in kd-tree builds, exact (eps
+  0) queries, approximate ones and the rest, and the points queried each way,
+  from a cKDTree subclass patched into each worker's oracle; the last lines
+  give each side's median split.
+- `sweep` (30 passes): `run_sweep(points=40, grid_budget=10**6)` into a fresh
+  temporary directory; both sides must write byte-identical CSVs and the same
+  standard error, whose warnings name each failed cell.
 
-A ratio below 1 means this checkout is faster.  Each pass also prints the
-minor page faults of each side's runs (`ru_minflt`).  The last line gives the
-median ratio and, around it, the lower and upper quartiles of the passes.
+Each pass prints the time ratio this / other (below 1 where this checkout is
+faster) and the minor page faults (`ru_minflt`) of each worker's calls; they
+follow each process's hash seed and address layout, so identical workers can
+differ by thousands: a clue, not a gate.  The last line gives the median ratio
+and its quartiles over the passes.
 
-Both sides share one process and so one allocator, whose mmap threshold
-and heap trimming adapt to the blocks freed, so one side's large arrays can
-spare the other side's mid-sized temporaries a map and unmap per call.  A
-change to what a side allocates can therefore read faster here than in a
-process of its own: on a 2-vCPU guest, a variant of `sample_image` that kept
-no lattice values read 0.796 on `sweep`, yet alone took 7.97 ms per call
-against 5.75 ms, with 3,330 minor faults per call against 31.  Fault counts
-far apart between the sides call for timing each side in its own process.
-
-Alternating within one process cancels the drift of a shared host: on a
-2-vCPU guest, passes of the same code took from 1.7 to 3.9 s across runs,
-while the interleaved ratio of a checkout against a copy of itself read, per
-workload:
-
-- `enclose`: median 1.005, quartiles 0.999 to 1.009;
-- `recursion`: medians 1.009 and 0.987 in two runs;
-- `sweep`: quartiles 0.964 to 1.039, so a sweep difference of a few
-  percent is within the spread.
+A checkout against a copy of itself on a noisy 2-vCPU guest read a median of
+0.998 on `enclose` (quartiles 0.992 to 1.003), 0.973 and 0.992 on `sweep`, and
+0.971 to 1.080 on `recursion` over 15 runs, 8 of them within 2% of 1.
 """
 
 import argparse
 import contextlib
-import importlib
-import importlib.util
 import io
+import multiprocessing
 import resource
 import statistics
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-PASSES = 5
-RECURSION_PASSES = 20
-SWEEP_PASSES = 30
-
-
-def load(checkout: Path, name: str):
-    """The cli module of checkout's src/isarith, imported as package name."""
-    package = checkout / "src" / "isarith"
-    spec = importlib.util.spec_from_file_location(
-        name, package / "__init__.py", submodule_search_locations=[str(package)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.cli")
-
-
+PASSES = {"enclose": 5, "recursion": 20, "sweep": 30}
+SIDES = ("this", "other")
 TREE_KEYS = ("build_s", "exact_s", "approx_s", "exact", "approx")
 
 
@@ -107,14 +77,14 @@ def count_queries(oracle) -> dict[str, float]:
     return totals
 
 
-def tree_split(totals: dict[str, float], spent: float) -> dict[str, float]:
+def tree_split(tally: dict[str, float]) -> dict[str, float]:
     """Milliseconds of a pass in tree builds, exact and approximate queries
     and the rest of the pass."""
-    ms = {key: 1e3 * totals[f"{key}_s"] for key in ("build", "exact", "approx")}
-    return {**ms, "rest": 1e3 * spent - sum(ms.values())}
+    ms = {key: 1e3 * tally[f"{key}_s"] for key in ("build", "exact", "approx")}
+    return {**ms, "rest": 1e3 * tally["seconds"] - sum(ms.values())}
 
 
-def bound(cli, task) -> tuple[float, bytes | str]:
+def enclose(cli, task) -> tuple[float, str]:
     """Seconds taken and a bit-exact record of what `isarith bound` builds."""
     start = time.perf_counter()
     domain = cli.parse_domain_spec(task.spec, task.branches)
@@ -154,56 +124,84 @@ def sweep(cli, task=None) -> tuple[float, str]:
     return elapsed, repr((csvs, err.getvalue()))
 
 
+def serve(src: Path, workload: str, tasks: list, conn) -> None:
+    """A worker: import isarith from src and send None if it came from there,
+    else the path it came from; then run the workload on each task index it
+    receives until None, replying with the output record and the call's
+    seconds, minor faults and kd-tree totals."""
+    sys.path.insert(0, str(src))  # ahead of the parent's path, which holds this checkout's src/
+    import isarith
+    from isarith import cli, oracle
+
+    got, want = Path(isarith.__file__).resolve().parent, (src / "isarith").resolve()
+    conn.send(None if got == want else f"imported isarith from {got}, not from {want}")
+    run, totals = globals()[workload], count_queries(oracle)
+    for i in iter(conn.recv, None):
+        totals.update(dict.fromkeys(TREE_KEYS, 0))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        seconds, record = run(cli, tasks[i])
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        conn.send((record, {**totals, "seconds": seconds, "faults": faults}))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(usage=__doc__)
     parser.add_argument("--workload", choices=("enclose", "recursion", "sweep"), default="enclose")
     parser.add_argument("other")
     args = parser.parse_args()
 
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]  # the workers inherit it
+    tasks, passes = [None], PASSES[args.workload]
     if args.workload == "enclose":
         import corpus  # bench/corpus.py, read only
 
-        tasks, run, passes = corpus.random_tasks(7) + corpus.anchor_tasks(), bound, PASSES
-    elif args.workload == "recursion":
-        tasks, run, passes = [None], recursion, RECURSION_PASSES
-    else:
-        tasks, run, passes = [None], sweep, SWEEP_PASSES
-    this, other = load(ROOT, "isarith_this"), load(Path(args.other).resolve(), "isarith_other")
-    counts = {side: count_queries(importlib.import_module(f"isarith_{side}.oracle"))
-              for side in ("this", "other")}
-    for _ in range(2):  # warm both sides up
-        for task in tasks[:20]:
-            run(this, task), run(other, task)
-    ratios, splits = [], {"this": [], "other": []}
-    for k in range(passes):
-        spent = {"this": 0.0, "other": 0.0}
-        faults = {"this": 0, "other": 0}
-        for c in counts.values():
-            c.update(dict.fromkeys(TREE_KEYS, 0))
-        for i, task in enumerate(tasks):
-            order = (("this", this), ("other", other)) if (i + k) % 2 == 0 else (("other", other), ("this", this))
-            out = {}
-            for side, cli in order:
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                seconds, out[side] = run(cli, task)
-                faults[side] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-                spent[side] += seconds
-            if out["this"] != out["other"]:
-                raise SystemExit(f"task {i} ({getattr(task, 'name', args.workload)}): the outputs differ")
-        ratios.append(spent["this"] / spent["other"])
-        print(f"pass {k + 1}: this {spent['this']:.3f} s, other {spent['other']:.3f} s, "
-              f"ratio {ratios[-1]:.4f}, minor faults this {faults['this']} / other {faults['other']}",
-              flush=True)
-        if any(c["exact"] or c["approx"] for c in counts.values()):
-            for side in splits:
-                splits[side].append(tree_split(counts[side], spent[side]))
-            print("  kd-tree ms, this / other: " + ", ".join(
-                f"{key} {splits['this'][-1][key]:.1f} / {splits['other'][-1][key]:.1f}"
-                for key in ("build", "exact", "approx", "rest")), flush=True)
-            print("  kd query points, this / other: exact {} / {}, approx {} / {}".format(
-                counts["this"]["exact"], counts["other"]["exact"],
-                counts["this"]["approx"], counts["other"]["approx"]), flush=True)
+        # plain namespaces, which a worker unpickles without importing isarith
+        tasks = [SimpleNamespace(**vars(t), arity=t.arity) for t in corpus.random_tasks(7) + corpus.anchor_tasks()]
+    spawn = multiprocessing.get_context("spawn")
+    conns, workers = {}, []
+    try:
+        for side, checkout in zip(SIDES, (ROOT, Path(args.other).resolve())):
+            conns[side], child = spawn.Pipe()
+            workers.append(spawn.Process(target=serve, args=(checkout / "src", args.workload, tasks, child)))
+            workers[-1].start()
+            child.close()  # so that a worker's exit ends the parent's recv
+        for side, conn in conns.items():
+            if (wrong := conn.recv()) is not None:
+                raise SystemExit(f"{side} side: {wrong}")
+
+        def call(side: str, i: int):
+            conns[side].send(i)
+            return conns[side].recv()
+
+        for i in [*range(min(20, len(tasks)))] * 2:  # warm both sides up
+            call("this", i), call("other", i)
+        ratios, splits = [], {side: [] for side in SIDES}
+        for k in range(passes):
+            tally = {side: Counter() for side in SIDES}
+            for i, task in enumerate(tasks):
+                out = {}
+                for side in SIDES if (i + k) % 2 == 0 else SIDES[::-1]:
+                    out[side], numbers = call(side, i)
+                    tally[side].update(numbers)
+                if out["this"] != out["other"]:
+                    raise SystemExit(f"task {i} ({getattr(task, 'name', args.workload)}): the outputs differ")
+            this, other = tally["this"], tally["other"]
+            ratios.append(this["seconds"] / other["seconds"])
+            print(f"pass {k + 1}: this {this['seconds']:.3f} s, other {other['seconds']:.3f} s, "
+                  f"ratio {ratios[-1]:.4f}, minor faults this {this['faults']} / other {other['faults']}", flush=True)
+            if any(t["exact"] or t["approx"] for t in (this, other)):
+                for side in splits:
+                    splits[side].append(tree_split(tally[side]))
+                print("  kd-tree ms, this / other: " + ", ".join(
+                    f"{key} {splits['this'][-1][key]:.1f} / {splits['other'][-1][key]:.1f}"
+                    for key in ("build", "exact", "approx", "rest")), flush=True)
+                print(f"  kd query points, this / other: exact {this['exact']} / {other['exact']}, "
+                      f"approx {this['approx']} / {other['approx']}", flush=True)
+    finally:  # a worker leaves its loop on None
+        for conn, worker in zip(conns.values(), workers):
+            with contextlib.suppress(OSError):
+                conn.send(None)
+            worker.join()
     for side, split in splits.items():
         if split:
             print(f"median ms of {side}: " + ", ".join(
