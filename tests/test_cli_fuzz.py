@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import mpmath
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isarith import cli, expr
 from isarith.expr import eval_point, parse
@@ -80,8 +80,15 @@ def inner_points(box, seed, count=4):
         yield [min(max((1.0 - t) * lo + t * hi, lo), hi) for t, (lo, hi) in zip(u, box)]
 
 
+# x2 - x1 is one ulp at the first inner point of seed 1, and the float value
+# of the sum rounds one ulp past the isa upper end, which the exact value meets
+ROUNDS_OUT = "(-x1+(x2+4.0647727923493324e-181))"
+ROUNDS_OUT_BOX = [(4.0647727923493324e-181, 4.064772792349333e-181)] * 2
+
+
 @settings(max_examples=250, deadline=None)
 @given(bound_cases())
+@example((ROUNDS_OUT, ROUNDS_OUT_BOX, 1, 1))
 def test_bound_ends_in_a_result_or_a_typed_error(case):
     text, box, branches, seed = case
     spec = ";".join(f"x{i + 1}=[{lo!r},{hi!r}]" for i, (lo, hi) in enumerate(box))
@@ -103,3 +110,11 @@ def test_bound_ends_in_a_result_or_a_typed_error(case):
 def _exactly_within(e, x, lo, hi):
     with mpmath.workdps(50):
         return Fraction(lo) <= _exact_value(e, x) <= Fraction(hi)
+
+
+def test_an_exact_value_past_an_end_still_escapes():
+    e, x = parse(ROUNDS_OUT, 2), list(ROUNDS_OUT_BOX[0])  # x1 at its low end, x2 at its high end
+    (v,) = eval_point(e, x)
+    top = 4.064772792349333e-181  # the exact value, a float itself
+    assert v > top and _exactly_within(e, x, 0.0, top)
+    assert not _exactly_within(e, x, 0.0, math.nextafter(top, 0.0))
