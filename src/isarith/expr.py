@@ -513,8 +513,16 @@ def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     violates them: a trap, a failed slab or a non-finite coordinate walks
     the whole lattice once, checking every node, for the error of the
     earliest failing node over all points, or for the values if no node
-    fails.
+    fails.  Each slab also folds each output's minimum and maximum while it
+    is in cache, for `sample_image`'s hull (`_eval_points_hull`).
     """
+    return _eval_points_hull(e, xs)[0]
+
+
+def _eval_points_hull(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> tuple[np.ndarray, list, list]:
+    """eval_points' values and the bits of each column's min() and max(): a
+    nonzero extremum has one float value; an end that folds to zero (numpy's
+    loop order picks its sign) or follows the checked walk is the column's."""
     if isinstance(xs, tuple):
         if len(xs) != e.arity:
             raise ArityError(f"got {len(xs)} coordinate arrays, expression takes {e.arity}")
@@ -533,6 +541,7 @@ def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     # ufuncs apart where out overlaps an operand
     read = {c for node in e.nodes for c in node[2:]}
     once = {o: j for j, o in enumerate(e.outputs) if e.outputs.count(o) == 1 and o not in read}
+    lo, hi = [math.inf] * len(e.outputs), [-math.inf] * len(e.outputs)
     try:
         if not all(np.isfinite(x).all() for x in coords):  # a leaf runs no op to trap
             raise OverflowError("non-finite coordinate")
@@ -548,10 +557,17 @@ def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
                 for j, v in enumerate(walk(cut.__getitem__, known=fixed, into=into)):
                     if v is not into.get(e.outputs[j]):  # not written in place
                         slab[..., j] = v
+                    if slab.size:
+                        lo[j], hi[j] = min(lo[j], slab[..., j].min()), max(hi[j], slab[..., j].max())
     except (FloatingPointError, DomainViolation, OverflowError):
         for j, v in enumerate(_quiet(walk)(coords.__getitem__, finite=lambda v: np.isfinite(v).all())):
             out[..., j] = v
-    return out.reshape(-1, len(e.outputs))
+        if out.size:  # not the folds of the slabs before the failure
+            lo = hi = [0.0] * len(e.outputs)
+    values = out.reshape(-1, len(e.outputs))
+    lo = [values[:, j].min() if v == 0 else v for j, v in enumerate(lo)]
+    hi = [values[:, j].max() if v == 0 else v for j, v in enumerate(hi)]
+    return values, lo, hi
 
 
 def eval_interval(e: Expr, box: Sequence[Interval]) -> tuple[Interval, ...]:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, eval_interval, eval_points
+from .expr import Expr, _eval_points_hull, eval_interval, eval_points  # noqa: F401, bench/spans.py traces it
 from .interval import Interval, _quiet
 from .model import SuperpositionModel, _same_domain
 
@@ -63,8 +63,8 @@ class SampleInaccurate(ValueError):
 
 @dataclass
 class ImageSample:
-    """Sampled image set: an (m, outputs) array of values and its
-    componentwise hull, and, from `sample_image`, the expression and the
+    """Sampled image set: the (m, outputs) values at every lattice point and
+    their componentwise hull, and, from `sample_image`, the expression and the
     (n, grid) per-axis lattice coordinates it was sampled on."""
 
     points: np.ndarray
@@ -152,7 +152,8 @@ def sample_image(
 
     `eval_points` fills one (m, outputs) array from the open grid slab by slab,
     each node once per point of the sub-lattice of the axes it reads: the dense
-    lattice's values, first axis slowest, or the error the dense lattice raises."""
+    lattice's values, first axis slowest, or the error the dense lattice raises.
+    The hull is folded in that walk while each slab is in cache."""
     n = len(box)
     if grid is None:
         grid = _grid_per_axis(budget, n)
@@ -162,8 +163,8 @@ def sample_image(
         raise BudgetExceeded(f"{grid}^{n} lattice points exceed the budget {budget}")
     lo, hi = np.array([(b.lo, b.hi) for b in box], dtype=float).T
     coords = _linspace(lo, hi, grid)
-    values = eval_points(e, tuple(np.meshgrid(*coords, indexing="ij", sparse=True)))
-    hull = tuple(Interval(float(v.min()), float(v.max())) for v in values.T)
+    values, lo, hi = _eval_points_hull(e, tuple(np.meshgrid(*coords, indexing="ij", sparse=True)))
+    hull = tuple(Interval(float(a), float(b)) for a, b in zip(lo, hi))
     return ImageSample(values, hull, source=(e, coords))
 
 
