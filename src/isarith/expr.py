@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import threading
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -346,6 +347,7 @@ _TOKEN = re.compile(
 MAX_NESTING = 200
 
 _SLAB = 1 << 16  # lattice points per slab of eval_points, whose values stay in cache
+_SCRATCH = threading.local()  # each thread's slab scratch (`_scratch`)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -514,15 +516,37 @@ def eval_points(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> np.ndarray:
     the whole lattice once, checking every node, for the error of the
     earliest failing node over all points, or for the values if no node
     fails.  Each slab also folds each output's minimum and maximum while it
-    is in cache, for `sample_image`'s hull (`_eval_points_hull`).
+    is in cache, for `sample_image`'s hull (`_eval_points_hull`); for a
+    one-output image, whose distance needs only that hull, the same walk
+    writes each slab into one scratch array per thread and keeps no result.
     """
     return _eval_points_hull(e, xs)[0]
 
 
-def _eval_points_hull(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> tuple[np.ndarray, list, list]:
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised array of the shape, on a buffer that belongs to the
+    calling thread and is kept from call to call, grown to the largest shape
+    asked for: a slab-sized block freed at the end of each call would be
+    mapped afresh, page by page, by the next."""
+    size = math.prod(shape)
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.buf = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _eval_points_hull(
+    e: Expr, xs: np.ndarray | tuple[np.ndarray, ...], keep: bool = True,
+) -> tuple[np.ndarray | None, list, list]:
     """eval_points' values and the bits of each column's min() and max(): a
     nonzero extremum has one float value; an end that folds to zero (numpy's
-    loop order picks its sign) or follows the checked walk is the column's."""
+    loop order picks its sign) or follows the checked walk is the column's.
+
+    Unless keep, each slab is written into the calling thread's `_scratch`
+    and dropped once folded, and the values are None.  They are returned
+    only where the hull takes ends from the columns: after the checked walk,
+    or where a running end folds to zero, from which the kept walk (keep)
+    takes over."""
     if isinstance(xs, tuple):
         if len(xs) != e.arity:
             raise ArityError(f"got {len(xs)} coordinate arrays, expression takes {e.arity}")
@@ -534,14 +558,15 @@ def _eval_points_hull(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> tuple
             raise ArityError(f"expected an (m, {e.arity}) array, got {xs.shape}")
         coords, shape = tuple(xs.T), xs.shape[:1]
     walk = partial(_walk, e, const=float, op=partial(_apply, "np"))
-    out = np.empty(shape + (len(e.outputs),))
+    m = len(e.outputs)
     step = max(1, _SLAB // max(1, math.prod(shape[1:])))
+    out = np.empty(shape + (m,)) if keep else _scratch((min(step, shape[0]),) + shape[1:] + (m,))
     sliced = [x.ndim == len(shape) and len(x) > 1 for x in coords]
     # outputs written in place; none that a node reads, as numpy rounds some
     # ufuncs apart where out overlaps an operand
     read = {c for node in e.nodes for c in node[2:]}
     once = {o: j for j, o in enumerate(e.outputs) if e.outputs.count(o) == 1 and o not in read}
-    lo, hi = [math.inf] * len(e.outputs), [-math.inf] * len(e.outputs)
+    lo, hi = [math.inf] * m, [-math.inf] * m
     try:
         if not all(np.isfinite(x).all() for x in coords):  # a leaf runs no op to trap
             raise OverflowError("non-finite coordinate")
@@ -552,19 +577,25 @@ def _eval_points_hull(e: Expr, xs: np.ndarray | tuple[np.ndarray, ...]) -> tuple
                           lambda *a: None if any(v is None for v in a) else _apply("np", *a))
             for start in range(0, max(shape[0], 1), step):  # an empty lattice walks once, as one walk would
                 cut = [x[start:start + step] if s else x for x, s in zip(coords, sliced)]
-                slab = out[start:start + step]
+                slab = out[start:start + step] if keep else out[:shape[0] - start]
                 into = {o: slab[..., j] for o, j in once.items()}
                 for j, v in enumerate(walk(cut.__getitem__, known=fixed, into=into)):
                     if v is not into.get(e.outputs[j]):  # not written in place
                         slab[..., j] = v
                     if slab.size:
                         lo[j], hi[j] = min(lo[j], slab[..., j].min()), max(hi[j], slab[..., j].max())
+                if not keep and 0 in lo + hi:  # an end may be zero: the kept walk takes over now
+                    break
     except (FloatingPointError, DomainViolation, OverflowError):
+        if not keep:
+            out, keep = np.empty(shape + (m,)), True
         for j, v in enumerate(_quiet(walk)(coords.__getitem__, finite=lambda v: np.isfinite(v).all())):
             out[..., j] = v
         if out.size:  # not the folds of the slabs before the failure
-            lo = hi = [0.0] * len(e.outputs)
-    values = out.reshape(-1, len(e.outputs))
+            lo = hi = [0.0] * m
+    if not keep:  # a zero end's sign is the kept walk's column's
+        return _eval_points_hull(e, xs) if 0 in lo + hi else (None, lo, hi)
+    values = out.reshape(-1, m)
     lo = [values[:, j].min() if v == 0 else v for j, v in enumerate(lo)]
     hi = [values[:, j].max() if v == 0 else v for j, v in enumerate(hi)]
     return values, lo, hi

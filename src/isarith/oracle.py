@@ -9,13 +9,12 @@ remainder are test code and live in `tests/reference.py`.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, _eval_points_hull, eval_interval, eval_points  # noqa: F401, bench/spans.py traces it
+from .expr import Expr, _eval_points_hull, eval_interval, eval_points
 from .interval import Interval, _quiet
 from .model import SuperpositionModel, _same_domain
 
@@ -61,20 +60,34 @@ class SampleInaccurate(ValueError):
     lattice point does not miss: the sample is too inaccurate to judge it."""
 
 
-@dataclass
 class ImageSample:
     """Sampled image set: the (m, outputs) values at every lattice point and
     their componentwise hull, and, from `sample_image`, the expression and the
-    (n, grid) per-axis lattice coordinates it was sampled on."""
+    (n, grid) per-axis lattice coordinates it was sampled on.
 
-    points: np.ndarray
-    per_axis_hull: tuple[Interval, ...]
-    source: tuple[Expr, np.ndarray] | None = field(default=None, repr=False, compare=False)
-    _tree: cKDTree | None = field(default=None, repr=False, compare=False)
+    A one-output image from `sample_image` usually keeps no values: its
+    `points` are computed on first read, by the walk `eval_points` runs on
+    the source, bit for bit.  Its outputs are counted from the hull."""
+
+    def __init__(
+        self, points: np.ndarray | None, per_axis_hull: tuple[Interval, ...],
+        source: tuple[Expr, np.ndarray] | None = None,
+    ) -> None:
+        self._points = points
+        self.per_axis_hull = per_axis_hull
+        self.source = source
+        self._tree: cKDTree | None = None
+
+    @property
+    def points(self) -> np.ndarray:
+        if self._points is None:
+            e, coords = self.source
+            self._points = eval_points(e, _open_grid(coords))
+        return self._points
 
     @property
     def n_outputs(self) -> int:
-        return self.points.shape[1]
+        return len(self.per_axis_hull)
 
     def kd_tree(self) -> cKDTree:
         if self._tree is None:
@@ -85,6 +98,12 @@ class ImageSample:
             # The module attribute: loaded on first use, or as patched
             self._tree = sys.modules[__name__].cKDTree(self.points, balanced_tree=False, compact_nodes=False)
         return self._tree
+
+
+def _open_grid(coords: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The lattice of the (n, grid) per-axis coordinates as an open grid, one
+    array per axis that broadcast together, first axis slowest."""
+    return tuple(np.meshgrid(*coords, indexing="ij", sparse=True))
 
 
 def _grid_per_axis(budget: int, n: int) -> int:
@@ -150,10 +169,14 @@ def sample_image(
     """Evaluate the expression on a lattice over the box, corners included,
     with `grid` points per axis (by default the most the budget holds).
 
-    `eval_points` fills one (m, outputs) array from the open grid slab by slab,
-    each node once per point of the sub-lattice of the axes it reads: the dense
-    lattice's values, first axis slowest, or the error the dense lattice raises.
-    The hull is folded in that walk while each slab is in cache."""
+    `eval_points` walks the open grid slab by slab, each node once per point
+    of the sub-lattice of the axes it reads: the dense lattice's values, first
+    axis slowest, or the error the dense lattice raises.  The hull is folded
+    in that walk while each slab is in cache.  Several outputs keep their
+    values in one (m, outputs) array, which the kd-tree of the enclosure scan
+    reads; one output, whose distance takes the hull alone, writes each slab
+    into one scratch array that the calling thread reuses, and keeps its
+    values only where the hull read them (see `ImageSample`)."""
     n = len(box)
     if grid is None:
         grid = _grid_per_axis(budget, n)
@@ -163,7 +186,7 @@ def sample_image(
         raise BudgetExceeded(f"{grid}^{n} lattice points exceed the budget {budget}")
     lo, hi = np.array([(b.lo, b.hi) for b in box], dtype=float).T
     coords = _linspace(lo, hi, grid)
-    values, lo, hi = _eval_points_hull(e, tuple(np.meshgrid(*coords, indexing="ij", sparse=True)))
+    values, lo, hi = _eval_points_hull(e, _open_grid(coords), keep=e.n_outputs > 1)
     hull = tuple(Interval(float(a), float(b)) for a, b in zip(lo, hi))
     return ImageSample(values, hull, source=(e, coords))
 

@@ -1,7 +1,11 @@
 """tools/ab.py: each side's worker must import its own checkout's isarith,
-and the tool must stop on the first differing output with its workers gone."""
+the tool must stop on the first differing output with its workers gone, and
+its last line must give each side's median minor faults per pass."""
 
+import importlib
+import re
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +38,20 @@ def test_a_changed_recursion_map_stops_the_tool(tmp_path):
     assert done.returncode != 0
     assert "task 0 (recursion): the outputs differ" in done.stderr
     assert "Traceback" not in done.stderr and "SpawnProcess" not in done.stderr
+
+
+def test_the_last_line_gives_each_sides_median_minor_faults(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() puts src/ and bench/ first
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))  # the spawned workers import ab from it too
+    monkeypatch.setenv("PYTHONHASHSEED", "0")  # main() sets a fresh one for each worker pair
+    ab = importlib.import_module("ab")
+    monkeypatch.setattr(ab, "PASSES", {"recursion": (1, 2)})  # one pair of two passes
+    monkeypatch.setattr(sys, "argv", ["ab.py", "--workload", "recursion", str(ROOT)])
+    ab.main()
+    lines = capsys.readouterr().out.splitlines()
+    faults = [re.search(r"minor faults this (\d+) / other (\d+)$", line).groups()
+              for line in lines if line.startswith("pass ")]
+    assert len(faults) == 2
+    this, other = (statistics.median(int(f[k]) for f in faults) for k in (0, 1))
+    assert re.fullmatch(rf"median ratio \S+ \(quartiles \S+ to \S+\) over 1 tasks, 2 passes; "
+                        rf"median minor faults per pass this {this:g} / other {other:g}", lines[-1])

@@ -25,9 +25,11 @@ one random hash seed, takes over every few passes.
 Each pass prints the time ratio this / other (below 1 where this checkout is
 faster) and each worker's minor page faults (`ru_minflt`), a clue, not a
 gate; the last lines give each side's median kd-tree split and the median
-ratio with its quartiles.  Against a copy of itself on a noisy 2-vCPU
-guest the median ratio read 0.989 to 1.007 on `enclose`, 0.991 to 1.011 on
-`recursion` and 0.988 to 1.012 on `sweep`.
+ratio with its quartiles, next to each side's median minor faults per pass,
+where a change that maps fresh memory on every call shows at a glance.
+Against a copy of itself on a noisy 2-vCPU guest the median ratio read 0.989
+to 1.007 on `enclose`, 0.991 to 1.011 on `recursion` and 0.988 to 1.012 on
+`sweep`.
 """
 
 import argparse
@@ -189,11 +191,13 @@ def main() -> None:
         import corpus  # bench/corpus.py, read only
         # plain namespaces, which a worker unpickles without importing isarith
         tasks = [SimpleNamespace(**vars(t), arity=t.arity) for t in corpus.random_tasks(7) + corpus.anchor_tasks()]
-    ratios, splits = [], {side: [] for side in SIDES}
+    ratios, splits, faults = [], {side: [] for side in SIDES}, {side: [] for side in SIDES}
     for pair in range(pairs):
         with start_pair(args.workload, tasks, Path(args.other).resolve()) as run:
             for this, other in map(run, range(pair * per_pair, (pair + 1) * per_pair)):
                 ratios.append(this["seconds"] / other["seconds"])
+                for side, tally in zip(SIDES, (this, other)):
+                    faults[side].append(tally["faults"])
                 print(f"pass {len(ratios)}: this {this['seconds']:.3f} s, other {other['seconds']:.3f} s, ratio "
                       f"{ratios[-1]:.4f}, minor faults this {this['faults']} / other {other['faults']}", flush=True)
                 if any(t["exact"] or t["approx"] for t in (this, other)):
@@ -210,7 +214,8 @@ def main() -> None:
                                                        for key in ("build", "exact", "approx", "rest")))
     low, median, high = statistics.quantiles(ratios, n=4)
     print(f"median ratio {median:.4f} (quartiles {low:.4f} to {high:.4f}) over {len(tasks)} tasks, "
-          f"{len(ratios)} passes")
+          f"{len(ratios)} passes; median minor faults per pass this {statistics.median(faults['this']):g} "
+          f"/ other {statistics.median(faults['other']):g}")
 
 
 if __name__ == "__main__":
